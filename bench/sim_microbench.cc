@@ -16,6 +16,8 @@
  * perf_compare.py --expect-ratio asserts it stays >= 3x. The
  * BM_PowerAccountingDirect / BM_PowerAccountingLedger pair does the
  * same for the SoA power ledger (>= 1.3x with leakage + thermal on).
+ * BM_Mesh32CycleLight and BM_KernelWakePark track the large-fabric
+ * scheduling cost (kernel wake/park and input polling).
  */
 
 #include <benchmark/benchmark.h>
@@ -129,6 +131,67 @@ BM_SmallSystemCycleLoaded(benchmark::State &state)
         sys.run(1);
 }
 BENCHMARK(BM_SmallSystemCycleLoaded)->Unit(benchmark::kMicrosecond);
+
+// One cycle of a large, lightly loaded fabric: 32x32x8 (1 024 routers,
+// 8 192 nodes) at uniform 2.0 packets/cycle. Most components are
+// parked at any instant, so the cost is dominated by waking and
+// parking the few that carry a flit and by polling their inputs —
+// the per-cycle scheduling tax that grows with the fabric, not with
+// the load.
+void
+BM_Mesh32CycleLight(benchmark::State &state)
+{
+    SystemConfig cfg;
+    cfg.meshX = 32;
+    cfg.meshY = 32;
+    PoeSystem sys(cfg);
+    sys.setTraffic(makeTraffic(TrafficSpec::uniform(2.0, 4, 3), cfg));
+    sys.run(2000);
+    for (auto _ : state)
+        sys.run(1);
+}
+BENCHMARK(BM_Mesh32CycleLight)->Unit(benchmark::kMicrosecond);
+
+// The kernel's wake/park round trip in isolation: 4 096 components
+// that park after every tick and a waker that wakes 32 of them per
+// cycle, spread over the whole tick order, half due this cycle (ahead
+// of the pass cursor) and half next cycle (through the wake heap).
+// That is the pattern a flit hop imposes on the routers of a lightly
+// loaded fabric; its cost must not grow with the awake population.
+void
+BM_KernelWakePark(benchmark::State &state)
+{
+    struct Parker final : Ticking
+    {
+        std::uint64_t ticks = 0;
+        void tick(Cycle) override { ticks++; }
+        Cycle nextWakeCycle(Cycle) override { return kNeverCycle; }
+    };
+    struct Waker final : Ticking
+    {
+        std::vector<Parker> *parkers = nullptr;
+        std::size_t next = 0;
+        void tick(Cycle now) override
+        {
+            for (int i = 0; i < 32; i++) {
+                next = (next + 2654435761u) % parkers->size();
+                (*parkers)[next].wakeAt(now + static_cast<Cycle>(i & 1));
+            }
+        }
+    };
+    Kernel k;
+    Waker waker;
+    std::vector<Parker> parkers(4096);
+    waker.parkers = &parkers;
+    k.addTicking(&waker);
+    for (Parker &p : parkers)
+        k.addTicking(&p);
+    k.run(16);
+    for (auto _ : state)
+        k.step();
+    benchmark::DoNotOptimize(parkers[0].ticks);
+}
+BENCHMARK(BM_KernelWakePark);
 
 // A hand-wired router held at saturation: four direction inputs feed
 // endless 4-flit packets with rotating destinations while the harness

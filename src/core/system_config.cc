@@ -86,8 +86,6 @@ SystemConfig::fromConfig(const Config &config)
     }
     c.shards =
         static_cast<int>(config.getInt("sim.shards", c.shards));
-    c.directBoundary =
-        config.getBool("sim.direct_boundary", c.directBoundary);
     c.metricsIntervalCycles = config.getUint("trace.metrics_interval",
                                              c.metricsIntervalCycles);
 
@@ -371,7 +369,7 @@ SystemConfig::networkParams() const
                    : BitrateLevelTable::linear(brMinGbps, brMaxGbps,
                                                numLevels, vmaxV);
     p.shards = shards;
-    p.directBoundary = directBoundary;
+    p.faults = fault.enabled;
     p.thermal = thermal;
     return p;
 }

@@ -92,14 +92,6 @@ struct SystemConfig
      *  threads. */
     int shards = 1;
 
-    /** Same-shard boundary edges use the zero-copy direct channel
-     *  mode (immediate publish, synchronous credit forwarding). The
-     *  call sequence is identical either way, so simulated outcomes
-     *  are bit-identical; off forces every edge through the generic
-     *  cross-shard machinery and exists for double-checking exactly
-     *  that (tests/integration/sharded_kernel_test.cc). */
-    bool directBoundary = true;
-
     /** Cycles between power snapshots when a trace sink is attached
      *  (PoeSystem::setTraceSink). Must be > 0 — disable snapshots by
      *  not attaching a sink, not by zeroing the interval. */

@@ -160,6 +160,8 @@ OpticalLink::setFault(FaultInjector *faults, int link_id)
 {
     faults_ = faults;
     faultId_ = link_id;
+    if (arrivalFlags_ != nullptr)
+        *arrivalFlags_ |= arrivalBit_;
 }
 
 void
@@ -387,6 +389,8 @@ OpticalLink::accept(Cycle now, const Flit &flit)
     // Wake edge: a parked receiver must tick when this flit lands
     // (even a corrupt copy — the receiver's poll at `arrives` is what
     // drives the CRC/NACK replay at its exact cycle).
+    if (arrivalFlags_ != nullptr)
+        *arrivalFlags_ |= arrivalBit_;
     if (receiver_)
         receiver_->wakeAt(arrives > receiverWakeLead_
                               ? arrives - receiverWakeLead_

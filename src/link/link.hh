@@ -193,6 +193,20 @@ class OpticalLink
     void setReceiver(Ticking *receiver) { receiver_ = receiver; }
 
     /**
+     * Arrival flag of a receiver that serves many inputs: accept() ORs
+     * @p bit into *@p flags, so the receiver can visit only the inputs
+     * with something in flight instead of polling every link each
+     * tick (Router::drainArrivals). Attaching a fault model sets the
+     * bit too — a faulted link is polled on every receiver tick. Null
+     * detaches.
+     */
+    void setArrivalFlag(std::uint64_t *flags, std::uint64_t bit)
+    {
+        arrivalFlags_ = flags;
+        arrivalBit_ = bit;
+    }
+
+    /**
      * Wake the receiver @p lead cycles *before* each event instead of
      * at it. A boundary shuttle receives on behalf of a router in
      * another shard and must forward a flit one cycle ahead of its
@@ -266,6 +280,9 @@ class OpticalLink
      * moment they would see isFailed().
      */
     bool isFailed() const { return failed_; }
+
+    /** True while a fault injector is attached (setFault). */
+    bool faultModel() const { return faults_ != nullptr; }
 
     /** Flits whose corruption draw fired (CRC failures at the
      *  receiver) since construction. */
@@ -444,9 +461,11 @@ class OpticalLink
     int transitionFrom_ = 0;
     const char *transitionType_ = nullptr;
 
-    // Receiver wake edge (idle elision).
+    // Receiver wake edge (idle elision) and arrival flag.
     Ticking *receiver_ = nullptr;
     Cycle receiverWakeLead_ = 0;
+    std::uint64_t *arrivalFlags_ = nullptr;
+    std::uint64_t arrivalBit_ = 0;
 
     // Faults / reliability.
     FaultInjector *faults_ = nullptr;

@@ -2,7 +2,7 @@
  * @file
  * Deterministic boundary exchange for the sharded kernel.
  *
- * Every inter-router link is received through a two-piece proxy
+ * A proxied inter-router link is received through a two-piece proxy
  * instead of the destination router polling the link directly:
  *
  *   LinkShuttle       a Ticking in the *source* router's shard. Its
@@ -25,19 +25,34 @@
  * disjoint index ranges in any given phase, and the kernel's phase
  * barrier supplies the happens-before edge across the publish.
  *
- * The proxy is used for every inter-router link at every shard count,
- * including --shards 1 and links whose endpoints share a shard: the
- * shuttle's poll of hasArrival(now + 1) is what fixes the link walk's
- * RNG draw cycles and trace emission points, so it can never be
- * bypassed. What *is* specialized is the publication machinery. A link
- * whose endpoints share a shard runs in **direct mode** (setDirect):
- * staged flits are published immediately (the destination router ticks
- * before the shuttle within a cycle, so it cannot observe them early),
- * credits forward synchronously (they are time-stamped, so application
- * timing is unchanged), and the per-cycle swap/drain hooks skip the
- * edge entirely. The call sequence seen by the link, the routers, and
- * the RNG streams is byte-for-byte identical in both modes; see
- * DESIGN.md section 11 and docs/DETERMINISM.md section 5.
+ * Which links are proxied (Network's constructor decides):
+ *
+ *  - A link whose endpoints sit in different shards always is: the
+ *    destination shard may not touch link state the source shard
+ *    mutates.
+ *  - With a fault model attached (Network::Params::faults) every
+ *    inter-router link is, at every shard count. The receiver's poll
+ *    then walks the link's reliability layer — CRC replays, RNG draws,
+ *    retry counters, fault and transition trace events — and the
+ *    shuttle's poll of hasArrival(now + 1) after every router has
+ *    ticked is what fixes the cycles and order of that walk. A proxied
+ *    link whose endpoints share a shard runs the channel in **direct
+ *    mode** (setDirect): staged flits are published immediately (the
+ *    destination router ticks before the shuttle within a cycle, so it
+ *    cannot observe them early), credits forward synchronously (they
+ *    are time-stamped, so application timing is unchanged), and the
+ *    per-cycle swap/drain hooks skip the edge entirely.
+ *  - Otherwise — a fault-free link inside one shard, i.e. every link
+ *    of a default --shards 1 run — the link is **proxy-free**: the
+ *    destination router polls it directly, as it polls an injection
+ *    link. Without a fault model the poll is a pure ring walk with no
+ *    side effects, so who performs it and when is unobservable; the
+ *    flit still lands at its arrival cycle and the credit still applies
+ *    one cycle after its return.
+ *
+ * The call sequence seen by the link, the routers, and the RNG streams
+ * is byte-for-byte identical across all three; see DESIGN.md section
+ * 11 and docs/DETERMINISM.md section 5.
  *
  * Delivery timing is unchanged from a direct receiver in either mode:
  * a flit accepted at t with arrival t+k is staged at t+k-1 and drained
@@ -89,9 +104,9 @@ class BoundaryChannel final : public CreditSink
      * the channel needs no per-cycle swap or drain. Only legal when
      * producer and consumer run on the same thread (the shuttle ticks
      * after the destination router, the upstream router's credit
-     * application is stamped) — Network::configureSharding sets it for
-     * every edge whose endpoints share a shard. Configuration-time
-     * only, before the first cycle.
+     * application is stamped) — Network's constructor sets it for
+     * every proxied edge whose endpoints share a shard. Configuration-
+     * time only, before the first cycle.
      */
     void setDirect() { direct_ = true; }
     bool direct() const { return direct_; }

@@ -23,6 +23,13 @@ Network::Network(Kernel &kernel, const Params &params)
         nodes_.push_back(std::make_unique<Node>(static_cast<NodeId>(n),
                                                 node_params));
 
+    // The partition is a pure function of (topology, shards), so it is
+    // known before any link is wired: it decides which inter-router
+    // links need the boundary proxy.
+    kernel.configureSharding(params.shards);
+    shardOf_ = topo_->partition(params.shards);
+    faultModel_ = params.faults;
+
     // Links. Each registers with the SoA power ledger in enumeration
     // order, so ledger ids equal link/trace ids.
     ledger_.configure(params.router.numVcs, params.thermal,
@@ -59,11 +66,20 @@ Network::Network(Kernel &kernel, const Params &params)
                 spec.dstRouter)];
             src.connectOutput(spec.srcPort.value(), link.get(),
                               vc_depth);
-            // Every inter-router link is received through a boundary
-            // channel + shuttle — at every shard count, even when both
-            // ends share a shard. Delivery and credit timing are
-            // unchanged; the uniform call sequence is what keeps
-            // output byte-identical at any --shards (boundary.hh).
+            int src_domain = 1 + shardOf_[static_cast<std::size_t>(
+                                     spec.srcRouter)];
+            int dst_domain = 1 + shardOf_[static_cast<std::size_t>(
+                                     spec.dstRouter)];
+            if (src_domain == dst_domain && !faultModel_) {
+                // Proxy-free: without a fault model the receiver's poll
+                // has no side effects, so the destination router reads
+                // the link itself, like an injection link.
+                dst.connectInput(spec.dstPort.value(), link.get(), &src,
+                                 spec.srcPort.value());
+                break;
+            }
+            // A shard boundary, or a fault model whose receiver-side
+            // walk must run at the shuttle's cycles (boundary.hh).
             auto chan = std::make_unique<BoundaryChannel>(
                 link.get(), &src, spec.srcPort.value());
             auto shuttle = std::make_unique<LinkShuttle>(link.get(),
@@ -72,9 +88,12 @@ Network::Network(Kernel &kernel, const Params &params)
             link->setReceiverWakeLead(1);
             dst.connectInputBoundary(spec.dstPort.value(), link.get(),
                                      chan.get(), spec.srcPort.value());
-            edges_.push_back(BoundaryEdge{chan.get(), shuttle.get(),
-                                          spec.srcRouter,
-                                          spec.dstRouter, &dst});
+            if (src_domain == dst_domain) {
+                chan->setDirect();
+                shuttle->setDirectDst(&dst);
+            }
+            edges_.push_back(BoundaryEdge{chan.get(), src_domain,
+                                          dst_domain, &dst});
             channels_.push_back(std::move(chan));
             shuttles_.push_back(std::move(shuttle));
             break;
@@ -86,9 +105,9 @@ Network::Network(Kernel &kernel, const Params &params)
     }
 
     // Tick order: routers, nodes, then boundary shuttles (a shuttle
-    // runs after its source router so same-cycle accepts with a
-    // one-cycle arrival are still forwarded on time). Interactions are
-    // time-tagged, so this only pins determinism, not semantics.
+    // runs after its destination router, which is what lets a direct
+    // channel publish immediately). Interactions are time-tagged, so
+    // this only pins determinism, not semantics.
     for (auto &r : routers_)
         kernel.addTicking(r.get());
     for (auto &n : nodes_)
@@ -96,7 +115,7 @@ Network::Network(Kernel &kernel, const Params &params)
     for (auto &s : shuttles_)
         kernel.addTicking(s.get());
 
-    configureSharding(kernel, params.shards, params.directBoundary);
+    installShardHooks(kernel);
 
     if (params.thermal.enabled) {
         // Batched thermal epoch on the driving thread (events run
@@ -115,12 +134,8 @@ Network::Network(Kernel &kernel, const Params &params)
 }
 
 void
-Network::configureSharding(Kernel &kernel, int shards,
-                           bool direct_boundary)
+Network::installShardHooks(Kernel &kernel)
 {
-    kernel.configureSharding(shards);
-    shardOf_ = topo_->partition(shards);
-
     // Components land in domain 1 + shard: routers by the partition
     // map, nodes with their router (injection/ejection links never
     // cross shards), shuttles with their *source* router (the shuttle
@@ -133,38 +148,19 @@ Network::configureSharding(Kernel &kernel, int shards,
             nodes_[static_cast<std::size_t>(n)].get(),
             1 + shardOf_[static_cast<std::size_t>(topo_->routerOf(
                     static_cast<NodeId>(n)))]);
-    // BoundaryEdge domains are kernel domains (1 + shard) from here on.
-    for (auto &e : edges_) {
-        e.srcDomain = 1 + shardOf_[static_cast<std::size_t>(e.srcDomain)];
-        e.dstDomain = 1 + shardOf_[static_cast<std::size_t>(e.dstDomain)];
-    }
-    std::size_t edge_idx = 0;
-    for (const auto &spec : specs_) {
-        if (spec.kind != LinkKind::kInterRouter)
-            continue;
-        kernel.setDomain(shuttles_[edge_idx].get(),
-                         1 + shardOf_[static_cast<std::size_t>(
-                                 spec.srcRouter)]);
-        edge_idx++;
-    }
+    for (std::size_t i = 0; i < edges_.size(); i++)
+        kernel.setDomain(shuttles_[i].get(), edges_[i].srcDomain);
 
-    // Edges whose endpoints share a shard switch to direct mode: the
-    // shuttle stays (it fixes the link walk's RNG/trace cycles), but
-    // publication is immediate, credits forward synchronously, and the
-    // per-cycle pre/post-pass hooks below skip the edge entirely. The
-    // call sequence is identical either way (boundary.hh); at
-    // --shards 1 every edge is direct and the hooks vanish.
-    // sim.direct_boundary=off keeps every edge on the generic path so
-    // the equivalence can be soaked end to end.
+    // Only edges that cross shards need the per-cycle publish/drain
+    // passes; a same-shard proxied edge runs its channel in direct mode
+    // (faulted fabrics only). At --shards 1 there are none and the
+    // hooks below are never installed.
     crossEdges_.clear();
     for (auto &e : edges_) {
-        if (direct_boundary && e.srcDomain == e.dstDomain) {
-            e.channel->setDirect();
-            e.shuttle->setDirectDst(e.dstRouter);
-        } else {
+        if (e.srcDomain != e.dstDomain)
             crossEdges_.push_back(&e);
-        }
     }
+    int shards = kernel.shardCount();
 
     // Per-domain cross-shard boundary lists, in link-enumeration order
     // — the canonical merge order for boundary events.
@@ -197,8 +193,6 @@ Network::configureSharding(Kernel &kernel, int shards,
     // Post-pass (driving thread, after the barrier): publish staged
     // cross-shard boundary traffic and tell the kernel which domains
     // have work, so the all-quiet fast path never skips a delivery.
-    // Direct edges publish inline and wake their own router, so with
-    // no cross-shard edges (--shards 1) there is nothing to install.
     if (crossEdges_.empty())
         return;
     kernel.addPostPass([this, &kernel](Cycle) {
@@ -274,6 +268,9 @@ Network::traceLinkTable() const
 void
 Network::setFaultInjector(FaultInjector *faults)
 {
+    if (faults != nullptr && !faultModel_)
+        panic("Network::setFaultInjector: network built without "
+              "Params::faults (same-shard links are proxy-free)");
     for (std::size_t i = 0; i < links_.size(); i++)
         links_[i]->setFault(faults, static_cast<int>(i));
     Cycle orphan =

@@ -45,10 +45,12 @@ class Network
          *  threads, same phase structure). Output is byte-identical
          *  at every value; see docs/DETERMINISM.md. */
         int shards = 1;
-        /** Zero-copy direct channel mode on same-shard boundary
-         *  edges; off forces the generic cross-shard machinery
-         *  everywhere (bit-identical output, verification only). */
-        bool directBoundary = true;
+        /** A fault injector will be attached (setFaultInjector). Its
+         *  reliability layer gives the receiver-side link walk side
+         *  effects, so every inter-router link keeps the boundary
+         *  shuttle that pins that walk's cycles (boundary.hh);
+         *  without it, links inside one shard are proxy-free. */
+        bool faults = false;
         /** Leakage + thermal model (phy/thermal.hh); disabled by
          *  default, which keeps every output byte-identical to the
          *  leakage-free era. */
@@ -100,7 +102,8 @@ class Network
     /**
      * Attach the system's fault injector to every link (per-link
      * stream index = link index, same as the trace id) and arm the
-     * routers' stranded-wormhole reclaim. Null detaches.
+     * routers' stranded-wormhole reclaim. Null detaches. Attaching
+     * needs a network constructed with Params::faults.
      */
     void setFaultInjector(FaultInjector *faults);
 
@@ -207,10 +210,9 @@ class Network
     }
 
   private:
-    /** Wire boundary channels/shuttles over every inter-router link,
-     *  partition the fabric, and install the kernel's shard hooks. */
-    void configureSharding(Kernel &kernel, int shards,
-                           bool direct_boundary);
+    /** Place routers, nodes and shuttles in their shard domains and
+     *  install the kernel's cross-shard publish/drain hooks. */
+    void installShardHooks(Kernel &kernel);
 
     std::unique_ptr<const Topology> topo_;
     BitrateLevelTable levels_;
@@ -219,12 +221,13 @@ class Network
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<OpticalLink>> links_;
 
-    // Boundary exchange (one channel + shuttle per inter-router link,
-    // in link-enumeration order — the canonical boundary-merge order).
+    // Boundary exchange: one channel + shuttle per proxied
+    // inter-router link (crossing shards, or any link of a faulted
+    // fabric), in link-enumeration order — the canonical
+    // boundary-merge order. shuttles_[i] serves edges_[i].
     struct BoundaryEdge
     {
         BoundaryChannel *channel;
-        LinkShuttle *shuttle;
         int srcDomain; ///< kernel domain of the source router
         int dstDomain; ///< kernel domain of the destination router
         Router *dstRouter;
@@ -243,6 +246,7 @@ class Network
     std::vector<std::vector<BoundaryEdge *>> domainIngress_;
     std::vector<std::vector<BoundaryChannel *>> domainEgress_;
     std::vector<int> shardOf_;
+    bool faultModel_ = false; ///< Params::faults
 
     double baselinePowerMw_ = 0.0;
     PacketId nextPacketId_ = 1;

@@ -70,8 +70,11 @@ Router::connectInput(int port, OpticalLink *link, CreditSink *upstream,
     in.upstream = upstream;
     in.upstreamPort = upstream_port;
     inDrainLink_[static_cast<std::size_t>(port)] = link;
-    if (link != nullptr)
+    if (link != nullptr) {
         link->setReceiver(this); // arrival wake edge (idle elision)
+        link->setArrivalFlag(&inputPending_, 1ull << port);
+        inputPending_ |= 1ull << port;
+    }
 }
 
 void
@@ -86,6 +89,7 @@ Router::connectInputBoundary(int port, OpticalLink *link,
     in.upstream = channel;
     in.upstreamPort = upstream_port;
     inBoundary_[static_cast<std::size_t>(port)] = channel;
+    inputPending_ |= 1ull << port;
 }
 
 bool
@@ -532,7 +536,9 @@ Router::stageRouteComputation(Cycle now)
 void
 Router::drainArrivals(Cycle now)
 {
-    for (int p = 0; p < numPorts(); p++) {
+    // Ascending port order, as a full scan would visit them.
+    for (std::uint64_t m = inputPending_; m != 0; m &= m - 1) {
+        int p = std::countr_zero(m);
         auto deliver = [&](const Flit &flit) {
             int v = flit.vc;
             if (v < 0 || v >= params_.numVcs)
@@ -563,9 +569,14 @@ Router::drainArrivals(Cycle now)
             // before arrival).
             while (bc->hasReadyArrival())
                 deliver(bc->popReadyArrival());
-        } else if (OpticalLink *l =
-                       inDrainLink_[static_cast<std::size_t>(p)]) {
+        } else {
+            OpticalLink *l = inDrainLink_[static_cast<std::size_t>(p)];
             l->drainArrivalsDue(now, deliver);
+            // An empty fault-free link has nothing to hand over until
+            // its next accept() sets the bit again. A faulted one stays
+            // flagged: every poll advances its reliability walk.
+            if (l->inFlight() == 0 && !l->faultModel())
+                inputPending_ &= ~(1ull << p);
         }
     }
 }
@@ -632,14 +643,15 @@ Router::nextWakeCycle(Cycle now)
         !pendingCredits_.empty())
         return now + 1;
     Cycle wake = kNeverCycle;
-    for (const auto &in : inputs_) {
+    // Unflagged inputs are empty fault-free links: no event pending.
+    for (std::uint64_t m = inputPending_; m != 0; m &= m - 1) {
+        auto p = static_cast<std::size_t>(std::countr_zero(m));
         // Channeled inputs contribute nothing: their link belongs to
         // the source shard (reading it here would race its walk), and
         // every delivery comes with a pre-pass wake edge instead.
-        if (in.boundary != nullptr)
+        if (inBoundary_[p] != nullptr)
             continue;
-        if (in.link != nullptr)
-            wake = std::min(wake, in.link->nextReceiverEventCycle());
+        wake = std::min(wake, inDrainLink_[p]->nextReceiverEventCycle());
     }
     return wake;
 }

@@ -72,8 +72,8 @@ class Router final : public Ticking,
      * and the link's hard-failure state is read from the channel's
      * propagated flag. The link's registered receiver is its shuttle,
      * not this router; @p link is kept only for introspection
-     * (inputLink, policy stats). Used for every inter-router link
-     * under the sharded kernel — at every shard count.
+     * (inputLink, policy stats). Used for every proxied inter-router
+     * link (network/boundary.hh says which are).
      */
     void connectInputBoundary(int port, OpticalLink *link,
                               BoundaryChannel *channel, int upstream_port);
@@ -247,6 +247,12 @@ class Router final : public Ticking,
     // pointers here instead. Written only by the connectInput* calls.
     std::vector<BoundaryChannel *> inBoundary_;
     std::vector<OpticalLink *> inDrainLink_;
+    /** Bit p: input p may have something to drain. Set by the input
+     *  link's accept() (OpticalLink::setArrivalFlag) and permanently
+     *  for channeled and fault-attached inputs; cleared once a
+     *  fault-free link's ring is empty. The drain and the park scan
+     *  visit only these ports. */
+    std::uint64_t inputPending_ = 0;
 
     // Output VC credit/allocation state.
     std::vector<std::uint8_t> outAllocated_;

@@ -1,7 +1,7 @@
 #include "sim/kernel.hh"
 
-#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
 #include <utility>
 
@@ -61,9 +61,33 @@ Kernel::addTicking(Ticking *component)
     component->asleep_ = false;
     component->pendingWake_ = kNeverCycle;
     ticking_.push_back(component);
-    Domain &dom = *domains_[0];
-    dom.members.push_back(component); // appended in order: stays sorted
-    dom.active.push_back(component);
+    layoutDirty_ = true;
+}
+
+void
+Kernel::relayout()
+{
+    for (auto &dom : domains_) {
+        dom->members.clear();
+        dom->awakeCount = 0;
+    }
+    // Registration order is tick order, so appending keeps every
+    // member list sorted.
+    for (Ticking *t : ticking_) {
+        Domain &dom = *domains_[t->domainIdx_];
+        t->slot_ = static_cast<std::uint32_t>(dom.members.size());
+        dom.members.push_back(t);
+    }
+    for (auto &dom : domains_) {
+        dom->awake.assign((dom->members.size() + 63) / 64, 0);
+        for (Ticking *t : dom->members) {
+            if (!t->asleep_) {
+                dom->awake[t->slot_ / 64] |= 1ull << (t->slot_ % 64);
+                dom->awakeCount++;
+            }
+        }
+    }
+    layoutDirty_ = false;
 }
 
 void
@@ -98,21 +122,8 @@ Kernel::setDomain(Ticking *component, int domain)
               domain, shards_);
     if (now_ != 0)
         panic("Kernel::setDomain: must run before the first step");
-    Domain &from = *domains_[component->domainIdx_];
-    std::erase(from.members, component);
-    std::erase(from.active, component);
     component->domainIdx_ = static_cast<std::uint16_t>(domain);
-    Domain &to = *domains_[domain];
-    auto by_order = [](const Ticking *a, const Ticking *b) {
-        return a->tickOrder_ < b->tickOrder_;
-    };
-    to.members.insert(std::lower_bound(to.members.begin(),
-                                       to.members.end(), component,
-                                       by_order),
-                      component);
-    to.active.insert(std::lower_bound(to.active.begin(), to.active.end(),
-                                      component, by_order),
-                     component);
+    layoutDirty_ = true;
 }
 
 void
@@ -152,14 +163,21 @@ std::size_t
 Kernel::activeCount() const
 {
     std::size_t n = 0;
+    if (layoutDirty_) {
+        for (const Ticking *t : ticking_)
+            n += t->asleep_ ? 0 : 1;
+        return n;
+    }
     for (const auto &dom : domains_)
-        n += dom->active.size();
+        n += dom->awakeCount;
     return n;
 }
 
 void
 Kernel::step()
 {
+    if (layoutDirty_)
+        relayout();
     if (now_ == nextEpoch_) {
         epochHook_(now_);
         nextEpoch_ += epochInterval_;
@@ -211,32 +229,43 @@ Kernel::runDomainPass(Domain &dom, Cycle now)
             admit(dom, c);
     }
     dom.inTickPass = true;
-    bool parked = false;
-    // Indexed loop: wake edges may insert into active mid-pass, but
-    // only at positions past the cursor (see wakeSleeping).
-    for (std::size_t i = 0; i < dom.active.size(); i++) {
-        Ticking *t = dom.active[i];
-        dom.passOrder = t->tickOrder_;
-        t->tick(now);
-        Cycle wake = t->nextWakeCycle(now);
-        // Park hysteresis: a component due again at now+2 would pay a
-        // heap push plus an O(active) sorted re-admit just to skip a
-        // single cycle; ticking it through the gap is cheaper. The
-        // extra tick is a no-op by the quiescence contract (elision
-        // off ticks everything every cycle and stays byte-identical),
-        // so output is unchanged.
-        if (wake > now + 2) {
-            t->asleep_ = true;
-            t->pendingWake_ = wake;
-            if (wake != kNeverCycle)
-                dom.wakeHeap.push(WakeEntry{wake, t});
-            parked = true;
+    // Walk the awake bits in slot (= tick) order. Each word is re-read
+    // after every tick: a wake edge may set a bit mid-pass, but only
+    // past the cursor (see wakeSleeping), so `done` masks exactly the
+    // slots already visited.
+    const std::size_t words = dom.awake.size();
+    for (std::size_t w = 0; w < words; w++) {
+        std::uint64_t done = 0;
+        for (;;) {
+            std::uint64_t bits = dom.awake[w] & ~done;
+            if (bits == 0)
+                break;
+            int b = std::countr_zero(bits);
+            done = (2ull << b) - 1; // b == 63 wraps to all ones
+            auto slot = static_cast<std::uint32_t>(w * 64 +
+                                                   static_cast<unsigned>(b));
+            Ticking *t = dom.members[slot];
+            dom.cursor = slot;
+            dom.passOrder = t->tickOrder_;
+            t->tick(now);
+            Cycle wake = t->nextWakeCycle(now);
+            // Park hysteresis: a component due again at now+2 would
+            // pay a heap push and pop just to skip a single cycle;
+            // ticking it through the gap is cheaper. The extra tick is
+            // a no-op by the quiescence contract (elision off ticks
+            // everything every cycle and stays byte-identical), so
+            // output is unchanged.
+            if (wake > now + 2) {
+                t->asleep_ = true;
+                t->pendingWake_ = wake;
+                dom.awake[w] &= ~(1ull << b);
+                dom.awakeCount--;
+                if (wake != kNeverCycle)
+                    dom.wakeHeap.push(WakeEntry{wake, t});
+            }
         }
     }
     dom.inTickPass = false;
-    if (parked)
-        std::erase_if(dom.active,
-                      [](const Ticking *t) { return t->asleep_; });
 }
 
 void
@@ -257,7 +286,7 @@ Kernel::shardsQuiet() const
         return false;
     for (int d = 1; d <= shards_; d++) {
         const Domain &dom = *domains_[d];
-        if (!dom.active.empty() || dom.pendingWork)
+        if (dom.awakeCount != 0 || dom.pendingWork)
             return false;
         // A stale heap head (superseded wake) conservatively runs the
         // phase; the domain's own admit loop then discards it.
@@ -288,12 +317,8 @@ Kernel::admit(Domain &dom, Ticking *component)
 {
     component->asleep_ = false;
     component->pendingWake_ = kNeverCycle;
-    auto pos = std::lower_bound(
-        dom.active.begin(), dom.active.end(), component,
-        [](const Ticking *a, const Ticking *b) {
-            return a->tickOrder_ < b->tickOrder_;
-        });
-    dom.active.insert(pos, component);
+    dom.awake[component->slot_ / 64] |= 1ull << (component->slot_ % 64);
+    dom.awakeCount++;
 }
 
 void
@@ -309,7 +334,7 @@ Kernel::wakeSleeping(Ticking *component, Cycle at)
         // cursor; a wake aimed at an already-passed position ticks
         // next cycle instead — exactly when an always-awake component
         // would first observe the time-tagged interaction.
-        if (!dom.inTickPass || component->tickOrder_ > dom.passOrder) {
+        if (!dom.inTickPass || component->slot_ > dom.cursor) {
             admit(dom, component);
             return;
         }
@@ -340,10 +365,9 @@ Kernel::setIdleElision(bool on)
             t->asleep_ = false;
             t->pendingWake_ = kNeverCycle;
         }
-        for (auto &dom : domains_) {
-            dom->active = dom->members;
+        for (auto &dom : domains_)
             dom->wakeHeap = {};
-        }
+        relayout();
     }
 }
 

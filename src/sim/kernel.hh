@@ -33,9 +33,17 @@
  * different shards may only interact through phase-separated boundary
  * queues drained by per-domain pre-pass hooks; see DESIGN.md section
  * 11 and docs/DETERMINISM.md for the full contract. Each domain keeps
- * its own active set and wake heap, so idle elision doubles as the
+ * its own awake set and wake heap, so idle elision doubles as the
  * per-shard work queue. The single-domain path (no configureSharding
  * call) is the reference implementation and stays byte-identical.
+ *
+ * Admitting and parking a component are O(1): a domain keeps its
+ * members in tick order with one bit per member marking it awake, so
+ * admitting a woken component sets a bit, parking one clears it, and
+ * the tick pass walks set bits in ascending order. Timed wakes sit in
+ * a binary heap. On a large, lightly loaded fabric most components are
+ * parked at any instant and every flit hop wakes and re-parks a few,
+ * so this traffic must not cost O(awake).
  */
 
 #ifndef OENET_SIM_KERNEL_HH
@@ -95,6 +103,7 @@ class Ticking
     friend class Kernel;
     Kernel *kernel_ = nullptr;     ///< set by Kernel::addTicking
     std::uint32_t tickOrder_ = 0;  ///< registration index (tick order)
+    std::uint32_t slot_ = 0;       ///< position in its domain's members
     std::uint16_t domainIdx_ = 0;  ///< tick domain (0 = serial phase)
     bool asleep_ = false;
     Cycle pendingWake_ = kNeverCycle; ///< authoritative earliest wake
@@ -171,7 +180,8 @@ class Kernel
     bool phased() const { return phased_; }
 
     /** Move @p component to @p domain (0 = serial, 1..shardCount()).
-     *  Configuration-time only: call before the first step. */
+     *  Configuration-time only: call before the first step. O(1); the
+     *  domains' member lists are rebuilt once, at the next step. */
     void setDomain(Ticking *component, int domain);
 
     /** Install the pre-pass hook of shard @p domain: it runs on that
@@ -232,27 +242,38 @@ class Kernel
 
     /**
      * One tick domain: a slice of the registered components with its
-     * own active list, wake heap, and pass state. Domain 0 always
-     * exists and is the whole kernel when sharding is off; shard
-     * domains are only touched by their own thread during the parallel
-     * phase and by the driving thread between phases.
+     * own awake set, wake heap, and pass state. Domain 0 always exists
+     * and is the whole kernel when sharding is off; shard domains are
+     * only touched by their own thread during the parallel phase and
+     * by the driving thread between phases.
      */
     struct Domain
     {
         int index = 0;
-        std::vector<Ticking *> members; ///< all components, tick order
-        std::vector<Ticking *> active;  ///< awake subset, same order
+        /** All components in tick order; a component's slot_ is its
+         *  index here. */
+        std::vector<Ticking *> members;
+        /** Awake set: bit slot_ % 64 of word slot_ / 64 is set iff
+         *  members[slot_] is in the per-cycle pass. */
+        std::vector<std::uint64_t> awake;
+        std::size_t awakeCount = 0;
         /** Timed wakes; lazily deleted — Ticking::pendingWake_ is the
          *  authority, stale entries are skipped on pop. */
         std::priority_queue<WakeEntry, std::vector<WakeEntry>, WakeLater>
             wakeHeap;
         bool inTickPass = false;
+        std::uint32_t cursor = 0;    ///< slot of the component mid-tick
         std::uint32_t passOrder = 0; ///< tickOrder_ of component mid-tick
         std::function<void(Cycle)> prePass;
         bool pendingWork = false; ///< boundary deliveries staged
     };
 
-    /** Re-admit a parked component into its domain's active list. */
+    /** Rebuild every domain's member list, slots and awake set from
+     *  the registration order and each component's domain and sleep
+     *  state. Runs at the first step after addTicking/setDomain. */
+    void relayout();
+
+    /** Re-admit a parked component into its domain's awake set. */
     void admit(Domain &dom, Ticking *component);
 
     /** Handle Ticking::wakeAt for a parked component. */
@@ -276,6 +297,7 @@ class Kernel
 
     bool idleElision_ = true;
     bool phased_ = false;
+    bool layoutDirty_ = false; ///< members/slots stale (see relayout)
     int shards_ = 1;
 
     // Epoch hook (metrics snapshots).

@@ -173,57 +173,67 @@ TEST(ShardedKernel, FingerprintInvariantUnderLinkFailure)
     }
 }
 
-TEST(ShardedKernel, DirectBoundaryEquivalenceSoak)
+namespace {
+
+/** Proxied links: every kernel component beyond the traffic pump,
+ *  the routers and the nodes is a link's boundary shuttle. */
+std::size_t
+proxiedLinks(PoeSystem &sys)
 {
-    // The same-shard zero-copy specialization (immediate publish,
-    // synchronous credits, no per-cycle swap/drain hooks) must be
-    // call-sequence-identical to the generic cross-shard channel path.
-    // Soak it with randomized seeded traffic across shard counts and
-    // elision modes: every (shards, elision, seed) cell must
-    // fingerprint identically with the specialization on and off.
-    for (std::uint64_t seed : {11ull, 90210ull, 400000087ull}) {
-        for (int shards : {1, 2, 4}) {
-            for (bool elision : {true, false}) {
-                SystemConfig direct = asymmetricMesh(shards, elision);
-                SystemConfig generic = direct;
-                generic.directBoundary = false;
-                std::uint64_t pd = 0, pg = 0;
-                EXPECT_EQ(fingerprint(direct, 0.8, seed, pd),
-                          fingerprint(generic, 0.8, seed, pg))
-                    << "shards=" << shards << " elision=" << elision
-                    << " seed=" << seed;
-                EXPECT_EQ(pd, pg);
-                EXPECT_GT(pd, 0u);
-            }
-        }
-    }
+    Network &net = sys.network();
+    return sys.kernel().tickingCount() - 1 -
+           static_cast<std::size_t>(net.numRouters()) -
+           static_cast<std::size_t>(net.numNodes());
 }
 
-TEST(ShardedKernel, DirectBoundaryEquivalenceUnderLinkFailure)
+std::size_t
+interRouterLinks(Network &net)
 {
-    // Same soak through the failure machinery: the direct channel's
-    // immediate failure flag and poison-credit path must match the
-    // generic swap-published ones cycle for cycle.
-    auto cfg = [](bool direct, int shards, bool elision) {
-        SystemConfig c = asymmetricMesh(shards, elision);
-        c.routing = RoutingAlgo::kWestFirst;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < net.numLinks(); i++)
+        n += net.linkSpec(i).kind == LinkKind::kInterRouter ? 1 : 0;
+    return n;
+}
+
+} // namespace
+
+TEST(ShardedKernel, UnshardedFaultFreeLinksAreProxyFree)
+{
+    // The default run registers no boundary shuttle at all: the kernel
+    // holds the traffic pump, the routers and the nodes, and nothing
+    // else.
+    PoeSystem sys(asymmetricMesh(1, true));
+    EXPECT_EQ(proxiedLinks(sys), 0u);
+}
+
+TEST(ShardedKernel, OnlyCrossShardLinksAreProxiedWithoutFaults)
+{
+    // Two shards cut the 5x3 mesh once: the links across the cut get a
+    // shuttle, every link inside a shard stays proxy-free.
+    PoeSystem sys(asymmetricMesh(2, true));
+    Network &net = sys.network();
+    std::size_t crossing = 0;
+    for (std::size_t i = 0; i < net.numLinks(); i++) {
+        const LinkSpec &spec = net.linkSpec(i);
+        if (spec.kind == LinkKind::kInterRouter &&
+            net.shardOf(spec.srcRouter) != net.shardOf(spec.dstRouter))
+            crossing++;
+    }
+    EXPECT_GT(crossing, 0u);
+    EXPECT_LT(crossing, interRouterLinks(net));
+    EXPECT_EQ(proxiedLinks(sys), crossing);
+}
+
+TEST(ShardedKernel, FaultModelKeepsEveryInterRouterLinkProxied)
+{
+    // The reliability layer gives the receiver's poll side effects, so
+    // every inter-router link keeps its shuttle — at one shard too.
+    for (int shards : {1, 2}) {
+        SystemConfig c = asymmetricMesh(shards, true);
         c.fault.enabled = true;
-        c.fault.killLink = 64;
-        c.fault.killCycle = 900;
-        c.fault.orphanTimeoutCycles = 300;
-        c.directBoundary = direct;
-        return c;
-    };
-    for (int shards : {1, 2, 4}) {
-        for (bool elision : {true, false}) {
-            std::uint64_t pd = 0, pg = 0;
-            EXPECT_EQ(fingerprint(cfg(true, shards, elision), 0.6, 23,
-                                  pd),
-                      fingerprint(cfg(false, shards, elision), 0.6, 23,
-                                  pg))
-                << "shards=" << shards << " elision=" << elision;
-            EXPECT_EQ(pd, pg);
-        }
+        PoeSystem sys(c);
+        EXPECT_EQ(proxiedLinks(sys), interRouterLinks(sys.network()))
+            << "shards=" << shards;
     }
 }
 

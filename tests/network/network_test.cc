@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "fault/fault_injector.hh"
 #include "network/network.hh"
 
 using namespace oenet;
@@ -185,4 +186,16 @@ TEST(NetworkDeath, BadEndpointsPanic)
     Kernel kernel;
     Network net(kernel, smallParams());
     EXPECT_DEATH(net.injectPacket(0, 99, 1, 0), "endpoints");
+}
+
+TEST(NetworkDeath, FaultInjectorNeedsAFaultReadyNetwork)
+{
+    // Without Params::faults the same-shard links are wired proxy-free,
+    // and their receiver walk would run at the wrong cycles once a
+    // reliability layer is attached.
+    Kernel kernel;
+    Network net(kernel, smallParams());
+    FaultInjector faults(FaultParams{},
+                         static_cast<int>(net.numLinks()));
+    EXPECT_DEATH(net.setFaultInjector(&faults), "Params::faults");
 }

@@ -244,6 +244,77 @@ TEST(IdleElision, ReAdmittedComponentKeepsRegistrationOrder)
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(IdleElision, MidPassWakesAcrossAwakeSetWordsKeepTickOrder)
+{
+    // 150 sleepers span three 64-bit words of the awake set. During
+    // cycle 3 the waker at slot 10 wakes sleepers ahead of the cursor
+    // — the last bit of word 0, the first of word 1, one in word 2 —
+    // and one behind it. The ones ahead tick this cycle in slot order;
+    // the one behind ticks next cycle.
+    Kernel k;
+    std::vector<int> log;
+    std::vector<Sleeper> sleepers(150);
+    struct Waker : Ticking
+    {
+        std::vector<Ticking *> targets;
+        std::vector<int> *log = nullptr;
+        void tick(Cycle now) override
+        {
+            log->push_back(-1);
+            if (now == 3) {
+                for (Ticking *t : targets)
+                    t->wakeAt(now);
+            }
+        }
+    } waker;
+    waker.log = &log;
+    for (int i = 0; i < 150; i++) {
+        sleepers[static_cast<std::size_t>(i)].log = &log;
+        sleepers[static_cast<std::size_t>(i)].id = i;
+    }
+    for (int i = 0; i < 150; i++) {
+        if (i == 10)
+            k.addTicking(&waker);
+        else
+            k.addTicking(&sleepers[static_cast<std::size_t>(i)]);
+    }
+    waker.targets = {&sleepers[130], &sleepers[63], &sleepers[5],
+                     &sleepers[64]};
+    k.run(3); // every sleeper parks after cycle 0
+    EXPECT_EQ(k.activeCount(), 1u);
+    log.clear();
+    k.step(); // cycle 3
+    EXPECT_EQ(log, (std::vector<int>{-1, 63, 64, 130}));
+    log.clear();
+    k.step(); // cycle 4
+    EXPECT_EQ(log, (std::vector<int>{5, -1}));
+    EXPECT_EQ(k.activeCount(), 1u);
+}
+
+TEST(IdleElision, DomainLayoutFollowsRegistrationOrderNotSetDomainOrder)
+{
+    // setDomain is O(1) and only records the move; the member lists
+    // are rebuilt at the first step, in registration (tick) order
+    // whatever order the moves came in.
+    Kernel k;
+    k.configureSharding(1);
+    std::vector<int> log;
+    std::vector<Sleeper> s(5);
+    for (int i = 0; i < 5; i++) {
+        s[static_cast<std::size_t>(i)].log = &log;
+        s[static_cast<std::size_t>(i)].id = i;
+        s[static_cast<std::size_t>(i)].wake = 1; // tick at 0 and 1
+        k.addTicking(&s[static_cast<std::size_t>(i)]);
+    }
+    for (int i : {4, 1, 3})
+        k.setDomain(&s[static_cast<std::size_t>(i)], 1);
+    EXPECT_EQ(k.activeCount(), 5u);
+    k.run(2);
+    // Serial domain 0 (0, 2) before shard domain 1 (1, 3, 4).
+    EXPECT_EQ(log, (std::vector<int>{0, 2, 1, 3, 4, 0, 2, 1, 3, 4}));
+    EXPECT_EQ(k.activeCount(), 0u);
+}
+
 TEST(IdleElision, DisablingElisionReAdmitsEverything)
 {
     Kernel k;
