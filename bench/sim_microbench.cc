@@ -13,10 +13,9 @@
  *     python3 bench/perf_compare.py BENCH_sim_microbench.json NEW.json
  * The BM_SystemCycleIdle / BM_SystemCycleIdleNoElision pair measures
  * the idle-elision win within a single run (machine-independent);
- * perf_compare.py --expect-ratio asserts it stays >= 3x. The
- * BM_PowerAccountingDirect / BM_PowerAccountingLedger pair does the
- * same for the SoA power ledger (>= 1.3x with leakage + thermal on).
- * BM_Mesh32CycleLight and BM_KernelWakePark track the large-fabric
+ * perf_compare.py --expect-ratio asserts it stays >= 3x.
+ * BM_PowerAccountingLedger times one epoch's power accounting pass
+ * over the SoA ledger at 16x16. BM_Mesh32CycleLight and BM_KernelWakePark track the large-fabric
  * scheduling cost (kernel wake/park and input polling).
  */
 
@@ -29,6 +28,7 @@
 #include "core/poe_system.hh"
 #include "network/boundary.hh"
 #include "network/power_report.hh"
+#include "phy/power_ledger.hh"
 #include "router/router.hh"
 
 using namespace oenet;
@@ -67,8 +67,9 @@ void
 BM_LinkAcceptPop(benchmark::State &state)
 {
     auto levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
     OpticalLink link("b", LinkKind::kInterRouter, levels,
-                     OpticalLink::Params{});
+                     OpticalLink::Params{}, ledger);
     Flit f;
     f.flags = Flit::kHeadFlag | Flit::kTailFlag;
     Cycle t = 0;
@@ -222,14 +223,15 @@ BM_LoadedRouterTick(benchmark::State &state)
 
     int ports = mesh.portsPerRouter();
     OpticalLink::Params lp;
+    LinkPowerLedger ledger(rp.numVcs);
     std::vector<std::unique_ptr<OpticalLink>> ins, outs;
     for (int p = 0; p < ports; p++) {
         ins.push_back(std::make_unique<OpticalLink>(
             "in" + std::to_string(p), LinkKind::kInterRouter, levels,
-            lp));
+            lp, ledger));
         outs.push_back(std::make_unique<OpticalLink>(
             "out" + std::to_string(p), LinkKind::kInterRouter, levels,
-            lp));
+            lp, ledger));
         router.connectInput(p, ins[p].get(), &probe, p);
         router.connectOutput(p, outs[p].get(), kVcDepth);
     }
@@ -306,8 +308,9 @@ void
 BM_BoundaryDrainGeneric(benchmark::State &state)
 {
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
     OpticalLink link("bnd", LinkKind::kInterRouter, levels,
-                     OpticalLink::Params{});
+                     OpticalLink::Params{}, ledger);
     NullCreditSink upstream;
     BoundaryChannel chan(&link, &upstream, 0);
     Flit f;
@@ -340,8 +343,9 @@ void
 BM_BoundaryDrainDirect(benchmark::State &state)
 {
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
     OpticalLink link("bnd", LinkKind::kInterRouter, levels,
-                     OpticalLink::Params{});
+                     OpticalLink::Params{}, ledger);
     NullCreditSink upstream;
     BoundaryChannel chan(&link, &upstream, 0);
     chan.setDirect();
@@ -361,49 +365,18 @@ BM_BoundaryDrainDirect(benchmark::State &state)
 }
 BENCHMARK(BM_BoundaryDrainDirect);
 
-// Shared setup for the accounting pair: a 16x16x8 fabric (~5k links,
-// the scale where the scattered OpticalLink objects no longer fit in
-// cache) with the thermal model on and enough simulated history that
-// the link population mixes levels and in-flight transitions.
-SystemConfig
-accountingConfig()
+// One epoch's accounting pass through the LinkPowerLedger's flat
+// columns: a 16x16x8 fabric (~5k links) with leakage + thermal on, so
+// the pass also folds leakage and attributes energy per VC, after
+// enough simulated history that the link population mixes levels and
+// in-flight transitions.
+void
+BM_PowerAccountingLedger(benchmark::State &state)
 {
     SystemConfig cfg;
     cfg.meshX = 16;
     cfg.meshY = 16;
     cfg.thermal.enabled = true;
-    return cfg;
-}
-
-// The epoch accounting pass as the legacy direct walk ran it: every
-// OpticalLink advanced through its pointer, TimeWeighted values and
-// integrals read one cache-hostile hop at a time.
-void
-BM_PowerAccountingDirect(benchmark::State &state)
-{
-    SystemConfig cfg = accountingConfig();
-    PoeSystem sys(cfg);
-    sys.setTraffic(makeTraffic(TrafficSpec::uniform(2.0, 4, 3), cfg));
-    sys.run(3000);
-    Network &net = sys.network();
-    Cycle now = sys.now();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(makePowerReportDirect(net, now));
-        benchmark::DoNotOptimize(
-            net.totalPowerIntegralMwCyclesDirect(now));
-    }
-}
-BENCHMARK(BM_PowerAccountingDirect)->Unit(benchmark::kMicrosecond);
-
-// The same accounting pass through the LinkPowerLedger's flat columns
-// (leakage + thermal enabled, so the ledger path is doing strictly
-// more physics: leakage fold, VC energy attribution). CI gates the
-// ratio against the direct walk at 1.3x via perf_compare.py
-// --expect-ratio, which is machine-independent.
-void
-BM_PowerAccountingLedger(benchmark::State &state)
-{
-    SystemConfig cfg = accountingConfig();
     PoeSystem sys(cfg);
     sys.setTraffic(makeTraffic(TrafficSpec::uniform(2.0, 4, 3), cfg));
     sys.run(3000);

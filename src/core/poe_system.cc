@@ -408,7 +408,7 @@ PoeSystem::metrics()
         m.normalizedPower = m.avgPowerMw / m.baselinePowerMw;
     m.powerLatencyProduct = m.normalizedPower * m.avgLatency;
 
-    if (config_.thermal.enabled && network_->ledgerActive())
+    if (config_.thermal.enabled)
         m.maxTempC = network_->powerLedger().maxTempC();
 
     m.packetsInjected = network_->packetsInjected();

@@ -279,12 +279,6 @@ SystemConfig::validate() const
               "interval)");
     }
     thermal.validate();
-    if (thermal.enabled && fault.enabled) {
-        fatal("leakage.enabled and fault.enabled are mutually "
-              "exclusive: fault-attached links are advanced by their "
-              "receivers and bypass the power ledger the thermal "
-              "model lives in");
-    }
     if (opticalMode == OpticalMode::kTriLevel) {
         if (scheme != LinkScheme::kModulator)
             fatal("tri-level optical power requires the modulator "

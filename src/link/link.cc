@@ -27,9 +27,10 @@ linkKindName(LinkKind kind)
 
 OpticalLink::OpticalLink(std::string name, LinkKind kind,
                          const BitrateLevelTable &levels,
-                         const Params &params)
+                         const Params &params, LinkPowerLedger &ledger)
     : name_(std::move(name)), kind_(kind), levels_(levels),
-      params_(params), powerModel_(params.scheme, params.power)
+      params_(params), powerModel_(params.scheme, params.power),
+      ledger_(ledger)
 {
     int init = params_.initialLevel;
     if (init == kInvalid)
@@ -38,6 +39,11 @@ OpticalLink::OpticalLink(std::string name, LinkKind kind,
         fatal("OpticalLink %s: initial level %d out of range",
               name_.c_str(), init);
     fromLevel_ = toLevel_ = init;
+    // The row starts at 0 mW; refreshSignals writes the initial
+    // operating point's power at cycle 0.
+    ledgerId_ = ledger_.addLink(
+        static_cast<int>(kind_), maxPowerMw(), init, 0.0,
+        levels_.level(init).vddV / params_.power.vmaxV);
     refreshSignals(0);
 }
 
@@ -54,9 +60,15 @@ OpticalLink::currentBitRateGbps() const
 void
 OpticalLink::writePower(Cycle at, double mw, double vdd_frac)
 {
-    powerTw_.update(at, mw);
-    if (ledger_ != nullptr)
-        ledger_->updateDynamic(ledgerId_, at, mw, vdd_frac);
+    ledger_.updateDynamic(ledgerId_, at, mw, vdd_frac);
+}
+
+void
+OpticalLink::syncPending()
+{
+    bool transition = phase_ != Phase::kStable && phase_ != Phase::kOff;
+    ledger_.setPending(ledgerId_,
+                       !failed_ && (transition || faults_ != nullptr));
 }
 
 void
@@ -138,13 +150,7 @@ OpticalLink::enterPhase(Phase phase, Cycle at, Cycle end)
         transitionType_ = nullptr;
         fromLevel_ = toLevel_;
     }
-    if (ledger_ != nullptr) {
-        // Stable and gated-off links hold their power until the next
-        // call touches them; only mid-transition links can change at a
-        // scheduled boundary with nobody calling in.
-        ledger_->setStable(ledgerId_, phase == Phase::kStable ||
-                                          phase == Phase::kOff);
-    }
+    syncPending();
     refreshSignals(at);
 }
 
@@ -160,6 +166,7 @@ OpticalLink::setFault(FaultInjector *faults, int link_id)
 {
     faults_ = faults;
     faultId_ = link_id;
+    syncPending();
     if (arrivalFlags_ != nullptr)
         *arrivalFlags_ |= arrivalBit_;
 }
@@ -168,10 +175,7 @@ void
 OpticalLink::resetStats(Cycle now)
 {
     advance(now);
-    powerTw_.reset(now);
-    if (ledger_ != nullptr)
-        ledger_->resetDynamic(ledgerId_, now);
-    totalFlits_ = 0;
+    ledger_.resetDynamic(ledgerId_, now);
     numTransitions_ = 0;
     flitsCorrupted_ = 0;
     flitRetries_ = 0;
@@ -382,9 +386,7 @@ OpticalLink::accept(Cycle now, const Flit &flit)
     inflightCount_++;
 
     windowFlits_++;
-    totalFlits_++;
-    if (ledger_ != nullptr)
-        ledger_->countFlit(ledgerId_, flit.vc);
+    ledger_.countFlit(ledgerId_, flit.vc);
 
     // Wake edge: a parked receiver must tick when this flit lands
     // (even a corrupt copy — the receiver's poll at `arrives` is what
@@ -513,8 +515,7 @@ OpticalLink::requestLevel(Cycle now, int level)
 
     fromLevel_ = toLevel_;
     toLevel_ = level;
-    if (ledger_ != nullptr)
-        ledger_->setLevel(ledgerId_, level);
+    ledger_.setLevel(ledgerId_, level);
     numTransitions_++;
     transitionStart_ = now;
     transitionFrom_ = fromLevel_;
@@ -579,31 +580,24 @@ OpticalLink::windowUtilization(Cycle now)
     return u > 1.0 ? 1.0 : u;
 }
 
-int
-OpticalLink::attachLedger(LinkPowerLedger &ledger)
+std::uint64_t
+OpticalLink::totalFlits() const
 {
-    double vdd_frac = phase_ == Phase::kOff
-                          ? 0.0
-                          : levels_.level(toLevel_).vddV /
-                                params_.power.vmaxV;
-    ledgerId_ = ledger.addLink(static_cast<int>(kind_), maxPowerMw(),
-                               toLevel_, powerTw_.value(), vdd_frac);
-    ledger_ = &ledger;
-    return ledgerId_;
+    return ledger_.totalFlits(ledgerId_);
 }
 
 double
 OpticalLink::powerMw(Cycle now)
 {
     advance(now);
-    return powerTw_.value();
+    return ledger_.dynPowerMw(ledgerId_);
 }
 
 double
 OpticalLink::powerIntegralMwCycles(Cycle now)
 {
     advance(now);
-    return powerTw_.integral(now);
+    return ledger_.dynIntegralMwCycles(ledgerId_, now);
 }
 
 double

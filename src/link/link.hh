@@ -21,7 +21,8 @@
  *    external-laser controller for modulator links, implied by Vdd for
  *    VCSEL links);
  *  - power/energy accounting through LinkPowerModel, integrated exactly
- *    as a piecewise-constant signal (no per-cycle work);
+ *    as a piecewise-constant signal (no per-cycle work) in the link's
+ *    row of a LinkPowerLedger, the one place link power is integrated;
  *  - utilization statistics for the policy controller: flits sent and
  *    the capacity integral, giving capacity-normalized utilization L_u.
  *
@@ -95,9 +96,12 @@ class OpticalLink
         Cycle wakeSettleCycles = 10;
     };
 
-    /** @param levels level table; must outlive the link. */
+    /** Registers the link's row in @p ledger (the row id is the
+     *  ledger's next link index). @p levels and @p ledger must outlive
+     *  the link. */
     OpticalLink(std::string name, LinkKind kind,
-                const BitrateLevelTable &levels, const Params &params);
+                const BitrateLevelTable &levels, const Params &params,
+                LinkPowerLedger &ledger);
 
     // ------------------------------------------------------------------
     // Data path: sender side
@@ -267,7 +271,8 @@ class OpticalLink
      * Attach the system's fault injector (null detaches); @p link_id is
      * this link's index in the injector (the network's link/trace id).
      * Attaching enables the CRC/retransmission layer and scheduled
-     * fault processing on this link.
+     * fault processing on this link, and marks its ledger row pending
+     * until it fails (LinkPowerLedger::setPending).
      */
     void setFault(FaultInjector *faults, int link_id);
 
@@ -346,7 +351,7 @@ class OpticalLink
     std::uint64_t windowFlits() const { return windowFlits_; }
 
     /** Flits accepted since construction or the last resetStats(). */
-    std::uint64_t totalFlits() const { return totalFlits_; }
+    std::uint64_t totalFlits() const;
 
     /** Electrical power drawn right now (mW). */
     double powerMw(Cycle now);
@@ -361,19 +366,6 @@ class OpticalLink
 
     /** Power of a non-power-aware link (always-max baseline), mW. */
     double maxPowerMw() const { return powerModel_.maxPowerMw(); }
-
-    /**
-     * Register this link with the system power ledger and mirror every
-     * subsequent power change into its SoA column. Must be called
-     * immediately after construction (cycle 0, stable), before any
-     * traffic or transition, so the column seed matches the link's
-     * TimeWeighted exactly. Returns the assigned ledger id.
-     */
-    int attachLedger(LinkPowerLedger &ledger);
-
-    /** Stop mirroring (fault-attached links keep only the per-link
-     *  walk; see LinkPowerLedger's header). */
-    void detachLedger() { ledger_ = nullptr; }
 
     /** Frequency transitions since construction or resetStats(). */
     std::uint64_t numTransitions() const { return numTransitions_; }
@@ -430,9 +422,14 @@ class OpticalLink
     /** Recompute power/capacity signals at time @p at. */
     void refreshSignals(Cycle at);
 
-    /** Set the power signal to @p mw at @p at: updates powerTw_ and
-     *  mirrors the identical fold into the ledger column. */
+    /** Set the power signal to @p mw at @p at (the ledger row). */
     void writePower(Cycle at, double mw, double vdd_frac);
+
+    /** Recompute the ledger row's pending flag: the link's power can
+     *  change with no call touching it while a transition phase is
+     *  underway, or while a fault injector is attached and the link
+     *  has not failed yet. */
+    void syncPending();
 
     bool enabledNow() const
     {
@@ -494,17 +491,14 @@ class OpticalLink
     int inflightCount_ = 0;
     Cycle lastArrival_ = 0;
 
-    // Accounting.
-    TimeWeighted powerTw_;    ///< mW, piecewise constant
+    // Accounting. Power, its integral and the flit counters live in
+    // the ledger row.
+    LinkPowerLedger &ledger_;
+    int ledgerId_ = kInvalid;
     TimeWeighted capacityTw_; ///< flits/cycle the link could move
     std::uint64_t windowFlits_ = 0;
-    std::uint64_t totalFlits_ = 0;
     double windowCapBase_ = 0.0;
     Cycle windowStart_ = 0;
-
-    // System power ledger mirror (null when detached).
-    LinkPowerLedger *ledger_ = nullptr;
-    int ledgerId_ = kInvalid;
 
     // Wake-settle accounting (see Params::wakeSettleCycles). While the
     // transmitter settles after a wake from kOff, the power step to the

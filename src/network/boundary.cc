@@ -14,6 +14,8 @@ BoundaryChannel::swapBuffers()
     if (credHead_ != credReadyEnd_)
         panic("BoundaryChannel %s: %u ready credits not drained",
               link_->name().c_str(), credReadyEnd_ - credHead_);
+    publishedHead_ = head_;
+    publishedCredHead_ = credHead_;
     readyEnd_ = pendEnd_;
     credReadyEnd_ = credPendEnd_;
     if (pendingFailed_) {

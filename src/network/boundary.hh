@@ -23,7 +23,10 @@
  *
  * No payload atomics anywhere: the producer and consumer touch
  * disjoint index ranges in any given phase, and the kernel's phase
- * barrier supplies the happens-before edge across the publish.
+ * barrier supplies the happens-before edge across the publish. Each
+ * side bounds its ring against its own copy of the other side's head,
+ * refreshed by the publish, never against the live index the other
+ * shard is advancing.
  *
  * Which links are proxied (Network's constructor decides):
  *
@@ -86,7 +89,9 @@ namespace oenet {
  * pendEnd; draining reads slab[head++ & mask]. Capacities are hard
  * bounds from the protocol (the link's in-flight ring caps arrivals
  * per cycle; switch allocation returns at most one credit per input
- * port per cycle), so overflow is a bug and panics.
+ * port per cycle), so overflow is a bug and panics. In cross-shard
+ * mode the overflow checks use the head as of the last publish, which
+ * never runs ahead of the live head, so they are at least as strict.
  */
 class BoundaryChannel final : public CreditSink
 {
@@ -117,7 +122,8 @@ class BoundaryChannel final : public CreditSink
      *  (published immediately in direct mode). */
     void stageArrival(const Flit &flit)
     {
-        if (pendEnd_ - head_ >= kArrivalCap)
+        std::uint32_t head = direct_ ? head_ : publishedHead_;
+        if (pendEnd_ - head >= kArrivalCap)
             panic("BoundaryChannel %s: arrival ring overflow",
                   link_->name().c_str());
         arrivals_[pendEnd_++ & kArrivalMask] = flit;
@@ -163,7 +169,7 @@ class BoundaryChannel final : public CreditSink
             upstream_->returnCredit(srcPort_, vc, now);
             return;
         }
-        if (credPendEnd_ - credHead_ >= kCreditCap)
+        if (credPendEnd_ - publishedCredHead_ >= kCreditCap)
             panic("BoundaryChannel %s: credit ring overflow",
                   link_->name().c_str());
         credits_[credPendEnd_++ & kCreditMask] = StagedCredit{vc, now};
@@ -207,9 +213,10 @@ class BoundaryChannel final : public CreditSink
     bool dirty() const { return arrivalsDirty_ || creditsDirty_; }
 
     /** Publish the pending region: staged flits/credits/failure become
-     *  ready for the next cycle's consumers. An index flip, no copy.
-     *  @pre the previous ready region was fully drained (the pre-pass
-     *  wake guarantees it). */
+     *  ready for the next cycle's consumers. An index flip, no copy;
+     *  also hands each producer the consumer's current head for its
+     *  overflow check. @pre the previous ready region was fully
+     *  drained (the pre-pass wake guarantees it). */
     void swapBuffers();
 
     // --- any thread between steps (driving thread) ---
@@ -252,6 +259,7 @@ class BoundaryChannel final : public CreditSink
     std::uint32_t head_ = 0;
     std::uint32_t readyEnd_ = 0;
     std::uint32_t pendEnd_ = 0;
+    std::uint32_t publishedHead_ = 0; ///< producer's copy of head_
     bool arrivalsDirty_ = false;
     bool pendingFailed_ = false;
 
@@ -260,6 +268,7 @@ class BoundaryChannel final : public CreditSink
     std::uint32_t credHead_ = 0;
     std::uint32_t credReadyEnd_ = 0;
     std::uint32_t credPendEnd_ = 0;
+    std::uint32_t publishedCredHead_ = 0; ///< dst router's copy of credHead_
     bool creditsDirty_ = false;
 
     // Failure propagation (published by swapBuffers; direct mode sets

@@ -6,7 +6,9 @@
 namespace oenet {
 
 Network::Network(Kernel &kernel, const Params &params)
-    : topo_(makeTopology(params.topo)), levels_(params.levels)
+    : topo_(makeTopology(params.topo)), levels_(params.levels),
+      ledger_(params.router.numVcs, params.thermal,
+              params.link.power.vmaxV)
 {
     // Routers and nodes.
     routers_.reserve(static_cast<std::size_t>(topo_->numRouters()));
@@ -30,15 +32,13 @@ Network::Network(Kernel &kernel, const Params &params)
     shardOf_ = topo_->partition(params.shards);
     faultModel_ = params.faults;
 
-    // Links. Each registers with the SoA power ledger in enumeration
-    // order, so ledger ids equal link/trace ids.
-    ledger_.configure(params.router.numVcs, params.thermal,
-                      params.link.power.vmaxV);
+    // Links. Each registers its row in the SoA power ledger in
+    // enumeration order, so ledger ids equal link/trace ids.
     specs_ = topo_->enumerateLinks();
     links_.reserve(specs_.size());
     for (const auto &spec : specs_) {
-        auto link = std::make_unique<OpticalLink>(spec.name, spec.kind,
-                                                  levels_, params.link);
+        auto link = std::make_unique<OpticalLink>(
+            spec.name, spec.kind, levels_, params.link, ledger_);
         switch (spec.kind) {
           case LinkKind::kInjection: {
             Node &src = *nodes_[spec.srcNode];
@@ -99,7 +99,6 @@ Network::Network(Kernel &kernel, const Params &params)
             break;
           }
         }
-        link->attachLedger(ledger_);
         baselinePowerMw_ += link->maxPowerMw();
         links_.push_back(std::move(link));
     }
@@ -119,14 +118,12 @@ Network::Network(Kernel &kernel, const Params &params)
 
     if (params.thermal.enabled) {
         // Batched thermal epoch on the driving thread (events run
-        // between tick phases): bring mid-transition links current,
-        // then relax every temperature and leakage column in one flat
-        // pass. Epoch events are in the deterministic event order, so
-        // temperatures are shard-count invariant.
+        // between tick phases): bring pending links current, then relax
+        // every temperature and leakage column in one flat pass. Epoch
+        // events are in the deterministic event order, so temperatures
+        // are shard-count invariant.
         Cycle epoch = params.thermal.epochCycles;
         kernel.schedulePeriodic(epoch, epoch, [this](Cycle now) {
-            if (!ledgerActive_)
-                return;
             advancePendingPower(now);
             ledger_.advanceThermal(now);
         });
@@ -277,18 +274,6 @@ Network::setFaultInjector(FaultInjector *faults)
         faults != nullptr ? faults->params().orphanTimeoutCycles : 0;
     for (auto &r : routers_)
         r->setOrphanTimeout(orphan);
-    if (faults != nullptr && ledgerActive_) {
-        // Scheduled faults are processed at exact cycles inside each
-        // link's lazy advance, and fault-attached links are advanced
-        // by their *receivers* — possibly from another shard. Neither
-        // fits the ledger's flat-scan/owner-writes model, so
-        // resilience runs keep the direct per-link walk (which also
-        // keeps their outputs byte-identical to the fault-era
-        // goldens). Detaching is one-way for the run.
-        for (auto &l : links_)
-            l->detachLedger();
-        ledgerActive_ = false;
-    }
 }
 
 int
@@ -373,12 +358,13 @@ Network::resetStats(Cycle now)
 void
 Network::advancePendingPower(Cycle now)
 {
-    // Id-order scan of the flag column: advances (and any transition
-    // trace events they flush) happen in the same order the direct
-    // per-link walk used, so event streams stay byte-identical.
+    // Id-order scan of the flag column. A link that is not pending
+    // would advance as a no-op, so this is every link's advance, and
+    // the transition and fault trace events those advances flush come
+    // out in link-id order.
     int n = ledger_.numLinks();
     for (int id = 0; id < n; id++) {
-        if (ledger_.isUnstable(id))
+        if (ledger_.isPending(id))
             links_[static_cast<std::size_t>(id)]->powerMw(now);
     }
 }
@@ -386,8 +372,6 @@ Network::advancePendingPower(Cycle now)
 double
 Network::totalPowerMw(Cycle now)
 {
-    if (!ledgerActive_)
-        return totalPowerMwDirect(now);
     advancePendingPower(now);
     double sum = ledger_.totalDynMw();
     if (ledger_.thermalEnabled())
@@ -398,30 +382,10 @@ Network::totalPowerMw(Cycle now)
 double
 Network::totalPowerIntegralMwCycles(Cycle now)
 {
-    if (!ledgerActive_)
-        return totalPowerIntegralMwCyclesDirect(now);
     advancePendingPower(now);
     double sum = ledger_.totalDynIntegralMwCycles(now);
     if (ledger_.thermalEnabled())
         sum += ledger_.totalLeakIntegralMwCycles(now);
-    return sum;
-}
-
-double
-Network::totalPowerMwDirect(Cycle now)
-{
-    double sum = 0.0;
-    for (auto &l : links_)
-        sum += l->powerMw(now);
-    return sum;
-}
-
-double
-Network::totalPowerIntegralMwCyclesDirect(Cycle now)
-{
-    double sum = 0.0;
-    for (auto &l : links_)
-        sum += l->powerIntegralMwCycles(now);
     return sum;
 }
 

@@ -116,21 +116,13 @@ class Network
     // ------------------------------------------------------------------
 
     /** Instantaneous link power (dynamic + leakage when the thermal
-     *  model is on), mW, summed over all links. Served from the SoA
-     *  ledger's flat scan when active; bitwise identical to the
-     *  direct per-link walk. */
+     *  model is on), mW, summed over all links: a flat scan of the SoA
+     *  ledger after advancePendingPower. */
     double totalPowerMw(Cycle now);
 
     /** Integral of total link power in mW-cycles since t=0 (dynamic +
      *  leakage when the thermal model is on). */
     double totalPowerIntegralMwCycles(Cycle now);
-
-    /** The pre-ledger per-link walks, kept as the accounting oracle:
-     *  dynamic power only, one lazy advance per link. The committed
-     *  microbench compares these against the ledger scan; tests assert
-     *  bitwise equality with the fast path. */
-    double totalPowerMwDirect(Cycle now);
-    double totalPowerIntegralMwCyclesDirect(Cycle now);
 
     /** Leakage aggregates (exactly 0 with the thermal model off). */
     double totalLeakagePowerMw() const { return ledger_.totalLeakMw(); }
@@ -139,19 +131,16 @@ class Network
         return ledger_.totalLeakIntegralMwCycles(now);
     }
 
-    /** The system power ledger (valid whenever ledgerActive()). */
+    /** The system power ledger: row i is link i's power accounting. */
     LinkPowerLedger &powerLedger() { return ledger_; }
     const LinkPowerLedger &powerLedger() const { return ledger_; }
 
-    /** False once a fault injector detached the ledger mirror; readers
-     *  must then fall back to the direct per-link walks. */
-    bool ledgerActive() const { return ledgerActive_; }
-
     /**
-     * Advance every mid-transition link to @p now so the ledger
-     * columns are current before a flat scan (stable and gated-off
-     * links cannot have changed since their last touch). Driving
-     * thread only, between phases.
+     * Advance every pending link (LinkPowerLedger::setPending: mid-
+     * transition, or fault-attached and not yet failed) to @p now, in
+     * link-id order, so the ledger columns are current before a flat
+     * scan; no other link can have changed since its last touch.
+     * Driving thread only, between phases.
      */
     void advancePendingPower(Cycle now);
 
@@ -216,6 +205,9 @@ class Network
 
     std::unique_ptr<const Topology> topo_;
     BitrateLevelTable levels_;
+    /** SoA power accounting (see phy/power_ledger.hh); declared before
+     *  the links, whose rows it holds, so it outlives them. */
+    LinkPowerLedger ledger_;
     std::vector<LinkSpec> specs_;
     std::vector<std::unique_ptr<Router>> routers_;
     std::vector<std::unique_ptr<Node>> nodes_;
@@ -251,10 +243,6 @@ class Network
     double baselinePowerMw_ = 0.0;
     PacketId nextPacketId_ = 1;
     std::uint64_t packetsInjected_ = 0;
-
-    // SoA power accounting (see phy/power_ledger.hh).
-    LinkPowerLedger ledger_;
-    bool ledgerActive_ = true;
 };
 
 } // namespace oenet

@@ -35,13 +35,8 @@ finishReport(PowerReport &report)
 PowerReport
 makePowerReport(Network &net, Cycle now)
 {
-    if (!net.ledgerActive())
-        return makePowerReportDirect(net, now);
-
-    // SoA fast path: one advance pass over the (usually tiny) unstable
-    // set, then flat scans in link-id order — the same values folded
-    // in the same order as the direct walk, hence bitwise-identical
-    // sums.
+    // One advance pass over the pending links, then flat scans of the
+    // ledger columns in link-id order.
     net.advancePendingPower(now);
     const LinkPowerLedger &led = net.powerLedger();
 
@@ -74,32 +69,6 @@ makePowerReport(Network &net, Cycle now)
         report.totalPowerMw += report.leakagePowerMw;
         report.maxTempC = led.maxTempC();
         led.attributeVcEnergy(now, report.vcEnergyMwCycles);
-    }
-    finishReport(report);
-    return report;
-}
-
-PowerReport
-makePowerReportDirect(Network &net, Cycle now)
-{
-    PowerReport report;
-    report.at = now;
-    initKinds(report, net.levels().maxLevel());
-
-    for (std::size_t i = 0; i < net.numLinks(); i++) {
-        OpticalLink &link = net.link(i);
-        auto &kr =
-            report.byKind[static_cast<std::size_t>(link.kind())];
-        double p = link.powerMw(now);
-        kr.count++;
-        kr.powerMw += p;
-        kr.baselineMw += link.maxPowerMw();
-        kr.meanLevel += link.currentLevel();
-        kr.totalFlits += link.totalFlits();
-        kr.levelHistogram[static_cast<std::size_t>(
-            link.currentLevel())]++;
-        report.totalPowerMw += p;
-        report.baselinePowerMw += link.maxPowerMw();
     }
     finishReport(report);
     return report;
@@ -147,9 +116,8 @@ collectLinkRows(Network &net, Cycle now)
 {
     std::vector<LinkRow> rows;
     rows.reserve(net.numLinks());
-    bool thermal =
-        net.ledgerActive() && net.powerLedger().thermalEnabled();
     const LinkPowerLedger &led = net.powerLedger();
+    bool thermal = led.thermalEnabled();
     for (std::size_t i = 0; i < net.numLinks(); i++) {
         OpticalLink &link = net.link(i);
         LinkRow row;

@@ -62,17 +62,11 @@ struct PowerReport
 };
 
 /**
- * Snapshot the network's power state at @p now. Served from the SoA
- * ledger's flat columns when active (the epoch hot path: no per-link
- * pointer chase); falls back to makePowerReportDirect when a fault
- * injector detached the ledger. With the thermal model off the two
- * paths produce bitwise-identical reports.
+ * Snapshot the network's power state at @p now, served from the SoA
+ * ledger's flat columns (the epoch hot path: no per-link pointer
+ * chase).
  */
 PowerReport makePowerReport(Network &net, Cycle now);
-
-/** The pre-ledger walk over OpticalLink objects (dynamic power only).
- *  Kept as the accounting oracle and the microbench baseline. */
-PowerReport makePowerReportDirect(Network &net, Cycle now);
 
 /** Per-link rows for CSV dumps: name, kind, level, br, power, flits,
  *  and — with the thermal model on — leakage, junction temperature,

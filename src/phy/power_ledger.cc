@@ -6,18 +6,13 @@
 
 namespace oenet {
 
-void
-LinkPowerLedger::configure(int num_vcs, const ThermalParams &thermal,
-                           double vmax_v)
+LinkPowerLedger::LinkPowerLedger(int num_vcs, const ThermalParams &thermal,
+                                 double vmax_v)
+    : numVcs_(num_vcs), thermal_(thermal), model_(thermal, vmax_v)
 {
-    if (numLinks() > 0)
-        panic("LinkPowerLedger::configure after addLink");
     if (num_vcs < 1)
         panic("LinkPowerLedger: numVcs must be >= 1, got %d", num_vcs);
     thermal.validate();
-    numVcs_ = num_vcs;
-    thermal_ = thermal;
-    model_ = LeakageModel(thermal, vmax_v);
 }
 
 int
@@ -41,7 +36,7 @@ LinkPowerLedger::addLink(int kind_index, double baseline_mw, int level,
     totalFlits_.push_back(0);
     vcFlits_.insert(vcFlits_.end(),
                     static_cast<std::size_t>(numVcs_), 0);
-    unstable_.push_back(0);
+    pending_.push_back(0);
     return id;
 }
 

@@ -1,18 +1,14 @@
 /**
  * @file
  * LinkPowerLedger — struct-of-arrays power accounting for every link
- * of one simulated system.
+ * of one simulated system, and the only place link power is
+ * integrated.
  *
- * Motivation (ROADMAP item 4): the per-epoch power snapshot and the
- * end-of-run energy aggregation used to walk every OpticalLink through
- * a pointer, run its lazy state-machine advance, and read a private
- * TimeWeighted — a cache-hostile loop executed at every metrics epoch
- * over ~1200 links. The ledger keeps the same piecewise-constant
- * integrals in flat parallel arrays: links *push* each power change
- * into their column (one store next to the TimeWeighted update they
- * already do), and aggregation becomes a sequential scan. The
- * committed microbench (BM_PowerAccountingDirect vs
- * BM_PowerAccountingLedger) gates the speedup in CI.
+ * Each OpticalLink owns one row, registered at construction: the link
+ * *writes* every power change into its row (updateDynamic) and reads
+ * its power, energy and flit count back from it. Epoch work — power
+ * snapshots, the end-of-run energy aggregation — is then a sequential
+ * scan over flat columns instead of a pointer walk over every link.
  *
  * It is also where the leakage + thermal model (phy/thermal.hh) lives:
  * per-link junction temperature, leakage power, and their integrals
@@ -20,27 +16,23 @@
  * never per cycle — alongside per-VC flit counters used to attribute
  * link energy to virtual channels in snapshots and CSV reports.
  *
- * Determinism contract (docs/DETERMINISM.md §3, §5):
+ * Determinism contract (docs/DETERMINISM.md §3, §5, §6):
  *
- *  - updateDynamic / countFlit mirror, value for value in the same
- *    call order, the TimeWeighted updates of the owning OpticalLink.
- *    They are invoked only from code that already mutates that link —
- *    i.e. from the shard that owns the link's sender during a parallel
- *    phase, or from the driving thread between phases. No column is
- *    ever written concurrently (TSan-checked by the sharded CI
- *    smokes).
+ *  - A row is written only by code that already mutates its link: the
+ *    shard that owns the link's sender during a parallel phase (a
+ *    fault-attached inter-router link's receiver walk runs in its
+ *    boundary shuttle, which lives in the sender's shard too), or the
+ *    driving thread between phases. No column is ever written
+ *    concurrently (TSan-checked by the sharded CI smokes).
+ *  - updateDynamic folds exactly as TimeWeighted::update does — same
+ *    operands, same order — so every integral has the bits of the
+ *    per-link integrator it replaced.
  *  - advanceThermal() and every total*() aggregate run on the driving
- *    thread between phases and fold in link-id order — the same order
- *    the direct per-link walk uses — so sums are bitwise identical to
- *    the direct path and shard-count invariant.
+ *    thread between phases and fold in link-id order, so sums are
+ *    shard-count invariant.
  *  - With thermal disabled every leakage column stays exactly 0.0 and
- *    no aggregate adds a term the direct path would not, keeping
- *    leakage-off outputs byte-identical to the pre-ledger era.
- *
- * Links with a FaultInjector attached bypass the ledger entirely
- *  (Network detaches it): scheduled faults must be processed at exact
- *  cycles during each link's lazy advance, which only the per-link
- *  walk does.
+ *    no aggregate adds a leakage term, keeping leakage-off outputs
+ *    byte-identical to the pre-ledger era.
  */
 
 #ifndef OENET_PHY_POWER_LEDGER_HH
@@ -49,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 #include "phy/thermal.hh"
 
@@ -57,11 +50,13 @@ namespace oenet {
 class LinkPowerLedger
 {
   public:
-    /** Configure the thermal/leakage model and VC count before any
-     *  addLink(). @p vmax_v is the full supply the vdd fractions are
-     *  relative to. */
-    void configure(int num_vcs, const ThermalParams &thermal,
-                   double vmax_v);
+    /** @p num_vcs sizes every link's per-VC flit row; @p vmax_v is the
+     *  full supply the vdd fractions are relative to (the paper's
+     *  1.8 V). The defaults (thermal model off) suit a standalone
+     *  link. */
+    explicit LinkPowerLedger(int num_vcs,
+                             const ThermalParams &thermal = ThermalParams{},
+                             double vmax_v = 1.8);
 
     /** Register one link (id = registration order = the network's link
      *  index). @p kind_index is the LinkKind as an int. */
@@ -77,11 +72,16 @@ class LinkPowerLedger
     // Producer side (the owning link; see determinism note above)
     // ------------------------------------------------------------------
 
-    /** Dynamic power changed to @p mw at @p at. Exact mirror of
-     *  TimeWeighted::update — same fold, same operand order. */
+    /** Dynamic power changed to @p mw at @p at. The fold of
+     *  TimeWeighted::update — same operands, same order. */
     void updateDynamic(int id, Cycle at, double mw, double vdd_frac)
     {
         auto i = static_cast<std::size_t>(id);
+        if (at < dynLast_[i])
+            panic("LinkPowerLedger: link %d time went backwards "
+                  "(%llu < %llu)",
+                  id, static_cast<unsigned long long>(at),
+                  static_cast<unsigned long long>(dynLast_[i]));
         dynMwCycles_[i] +=
             dynMw_[i] * static_cast<double>(at - dynLast_[i]);
         dynLast_[i] = at;
@@ -89,9 +89,8 @@ class LinkPowerLedger
         vddFrac_[i] = vdd_frac;
     }
 
-    /** Mirror of TimeWeighted::reset + the link's flit-counter reset:
-     *  restarts the dynamic and leakage integrals and the per-VC/total
-     *  flit attribution rows at @p at. */
+    /** Restart the dynamic and leakage integrals and the per-VC/total
+     *  flit counters at @p at (OpticalLink::resetStats). */
     void resetDynamic(int id, Cycle at);
 
     /** The link's stable (or transition-target) level changed. */
@@ -100,33 +99,35 @@ class LinkPowerLedger
         brLevel_[static_cast<std::size_t>(id)] = level;
     }
 
-    /** Track whether the link is mid-transition: an unstable link's
-     *  power can change at a scheduled phase end without any call
-     *  touching it, so snapshot readers must advance exactly the
-     *  unstable links first (Network::advancePendingPower). A plain
-     *  per-link flag column — not a shared dense set — so the write
-     *  stays owned by the link's shard like every other column, and
-     *  readers visit unstable links in id order (trace events emitted
-     *  by those advances must flush in the same order as the direct
-     *  walk's). */
-    void setStable(int id, bool stable)
+    /** Mark whether the link is *pending*: its power can change with
+     *  no call touching it — mid-transition (a phase end falls due), or
+     *  fault-attached and not yet failed (a lock loss or hard failure
+     *  falls due). Snapshot readers advance exactly the pending links
+     *  first (Network::advancePendingPower). A plain per-link flag
+     *  column — not a shared dense set — so the write stays owned by
+     *  the link's shard like every other column, and readers visit
+     *  pending links in id order (trace events those advances emit
+     *  must flush in link-id order). */
+    void setPending(int id, bool pending)
     {
-        unstable_[static_cast<std::size_t>(id)] = stable ? 0 : 1;
+        pending_[static_cast<std::size_t>(id)] = pending ? 1 : 0;
     }
 
     /** One flit accepted on @p vc (per-VC energy attribution). */
     void countFlit(int id, int vc)
     {
+        if (vc < 0 || vc >= numVcs_)
+            panic("LinkPowerLedger: link %d flit on vc %d of %d", id,
+                  vc, numVcs_);
         totalFlits_[static_cast<std::size_t>(id)]++;
         vcFlits_[static_cast<std::size_t>(id) *
                      static_cast<std::size_t>(numVcs_) +
                  static_cast<std::size_t>(vc)]++;
     }
 
-    /** Is the link mid-transition (stable/off links excluded)? */
-    bool isUnstable(int id) const
+    bool isPending(int id) const
     {
-        return unstable_[static_cast<std::size_t>(id)] != 0;
+        return pending_[static_cast<std::size_t>(id)] != 0;
     }
 
     // ------------------------------------------------------------------
@@ -139,7 +140,7 @@ class LinkPowerLedger
      * epoch, relax the junction temperature toward its equilibrium,
      * and recompute leakage at the new (T, vdd). Flat-array loop in
      * link-id order; no-op when thermal is disabled. Callers must
-     * advance unstable links to @p now first.
+     * advance pending links to @p now first.
      */
     void advanceThermal(Cycle now);
 
@@ -153,7 +154,7 @@ class LinkPowerLedger
     }
 
     /** Integral of dynamic power, mW-cycles, since construction or the
-     *  last resetDynamic — identical bits to the link's TimeWeighted. */
+     *  last resetDynamic. */
     double dynIntegralMwCycles(int id, Cycle now) const
     {
         auto i = static_cast<std::size_t>(id);
@@ -239,9 +240,9 @@ class LinkPowerLedger
     void attributeVcEnergy(Cycle now, std::vector<double> &out) const;
 
   private:
-    int numVcs_ = 1;
-    ThermalParams thermal_{};
-    LeakageModel model_{};
+    int numVcs_;
+    ThermalParams thermal_;
+    LeakageModel model_;
     Cycle lastThermal_ = 0;
 
     // Per-link columns, indexed by link id.
@@ -260,7 +261,7 @@ class LinkPowerLedger
     std::vector<std::uint64_t> totalFlits_;
     std::vector<std::uint64_t> vcFlits_; ///< numLinks x numVcs
 
-    std::vector<std::uint8_t> unstable_; ///< 1 = mid-transition
+    std::vector<std::uint8_t> pending_; ///< 1 = see setPending
 };
 
 } // namespace oenet

@@ -304,7 +304,7 @@ PolicyEngine::PolicyEngine(Kernel &kernel, Network &net,
                 net.link(i), provider, port, params_.link,
                 std::move(backlog)));
         }
-        if (net.ledgerActive() && net.powerLedger().thermalEnabled()) {
+        if (net.powerLedger().thermalEnabled()) {
             // Controller i drives link i, which is ledger row i.
             for (std::size_t i = 0; i < dvs_.size(); i++)
                 dvs_[i]->setThermal(&net.powerLedger(),

@@ -184,13 +184,13 @@ TEST(ConfigValidate, RejectsBadThermalParams)
     SUCCEED();
 }
 
-TEST(ConfigValidate, RejectsThermalWithFaults)
+TEST(ConfigValidate, AcceptsThermalWithFaults)
 {
-    // Fault-attached links bypass the power ledger (receiver-side
-    // advances would race the thermal epoch), so the combination is
-    // rejected rather than silently un-thermal.
+    // Fault-attached links keep their power ledger rows, so the
+    // thermal model sees them like any other link.
     SystemConfig c;
     c.thermal.enabled = true;
     c.fault.enabled = true;
-    expectRejected(c, "mutually");
+    c.validate();
+    SUCCEED();
 }

@@ -11,6 +11,7 @@
 
 #include "fault/fault_injector.hh"
 #include "link/link.hh"
+#include "phy/power_ledger.hh"
 
 using namespace oenet;
 
@@ -19,11 +20,12 @@ namespace {
 struct Pump
 {
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger{1};
     OpticalLink link;
     FaultInjector injector;
 
     Pump(const FaultParams &fp, OpticalLink::Params lp = {})
-        : link("pump", LinkKind::kInterRouter, levels, lp),
+        : link("pump", LinkKind::kInterRouter, levels, lp, ledger),
           injector(fp, 1)
     {
         link.setFault(&injector, 0);

@@ -131,12 +131,13 @@ struct HashSink final : public TraceSink
 };
 
 std::uint64_t
-fingerprintRun(const SystemConfig &cfg, double rate, std::uint64_t seed)
+fingerprintRun(const SystemConfig &cfg, double rate, std::uint64_t seed,
+               Cycle metrics_interval = 500)
 {
     HashSink sink;
     {
         PoeSystem sys(cfg);
-        sys.setTraceSink(&sink, 500);
+        sys.setTraceSink(&sink, metrics_interval);
         sys.setTraffic(makeTraffic(TrafficSpec::uniform(rate, 4, seed),
                                    cfg));
         sys.run(1000);
@@ -195,4 +196,28 @@ TEST(GoldenMesh, FaultRerouteMatchesPreRedesignBytes)
     fk.fault.killCycle = 1500;
     fk.fault.orphanTimeoutCycles = 300;
     EXPECT_EQ(fingerprintRun(fk, 0.8, 13), 0x61cd1d1fcc437c54ull);
+}
+
+TEST(GoldenMesh, LockLossBerAndKillMatchPreLedgerBytes)
+{
+    // Every scheduled fault kind at once: CDR lock losses and a BER
+    // floor keep links changing power between calls, and a mid-run
+    // kill reroutes traffic. The power snapshots every 250 cycles pin
+    // which links each snapshot advances, and in which order, so a
+    // fault-attached link the power accounting forgot to bring current
+    // permutes the fault events in the stream.
+    SystemConfig fk;
+    fk.meshX = 4;
+    fk.meshY = 4;
+    fk.clusterSize = 2;
+    fk.routing = RoutingAlgo::kWestFirst;
+    fk.windowCycles = 200;
+    fk.fault.enabled = true;
+    fk.fault.seed = 99;
+    fk.fault.lockLossPerCycle = 2e-4;
+    fk.fault.berFloor = 1e-4;
+    fk.fault.killLink = 70;
+    fk.fault.killCycle = 2500;
+    fk.fault.orphanTimeoutCycles = 300;
+    EXPECT_EQ(fingerprintRun(fk, 0.8, 13, 250), 0x4243f4255decc0ceull);
 }

@@ -7,7 +7,8 @@
  * docs/DETERMINISM.md exercised as a soak: an asymmetric 5x3 mesh (so
  * row stripes are uneven and shard 7 leaves shards empty) driven by
  * seeded random traffic, fingerprinted across the full
- * {shards} x {elision} grid.
+ * {shards} x {elision} grid. Shard-count invariance here is relative to
+ * each test's own single-shard run; GoldenMesh pins absolute bytes.
  */
 
 #include <bit>
@@ -75,6 +76,10 @@ struct FingerprintSink final : public TraceSink
     {
         mix(e.at);
         mixD(e.totalPowerMw);
+        mixD(e.leakagePowerMw);
+        mixD(e.maxTempC);
+        for (double v : e.vcEnergyMwCycles)
+            mixD(v);
     }
 };
 
@@ -91,9 +96,13 @@ asymmetricMesh(int shards, bool elision)
     return c;
 }
 
+/** Runs the protocol and fingerprints it. With @p audit_failures the
+ *  conservation audit runs afterwards (past the fingerprinted trace)
+ *  and reports its violation count there. */
 std::uint64_t
 fingerprint(const SystemConfig &cfg, double rate, std::uint64_t seed,
-            std::uint64_t &packets_out)
+            std::uint64_t &packets_out,
+            std::uint64_t *audit_failures = nullptr)
 {
     FingerprintSink sink;
     PoeSystem sys(cfg);
@@ -114,7 +123,12 @@ fingerprint(const SystemConfig &cfg, double rate, std::uint64_t seed,
     sink.mix(m.packetsInjected);
     sink.mix(m.packetsEjected);
     sink.mix(m.transitions);
+    sink.mixD(m.leakagePowerMw);
+    sink.mixD(m.maxTempC);
+    sink.mix(m.thermalThrottles);
     sys.setTraceSink(nullptr);
+    if (audit_failures != nullptr)
+        *audit_failures = sys.auditConservation();
     packets_out = m.packetsInjected;
     return sink.h;
 }
@@ -168,6 +182,47 @@ TEST(ShardedKernel, FingerprintInvariantUnderLinkFailure)
             EXPECT_EQ(fingerprint(cfg(shards, elision), 0.6, 23,
                                   packets),
                       ref)
+                << "shards=" << shards << " elision=" << elision;
+        }
+    }
+}
+
+TEST(ShardedKernel, FingerprintInvariantWithFaultsAndLeakage)
+{
+    // Leakage with every scheduled fault kind: fault-attached links
+    // keep their power ledger rows, and each thermal epoch advances
+    // them, on the driving thread in link-id order, before relaxing
+    // temperatures. Lock losses and the kill change link power between
+    // epochs, so the leakage feedback sees them at every shard count.
+    auto cfg = [](int shards, bool elision) {
+        SystemConfig c = asymmetricMesh(shards, elision);
+        c.routing = RoutingAlgo::kWestFirst;
+        c.thermal.enabled = true;
+        c.thermal.epochCycles = 250;
+        c.fault.enabled = true;
+        c.fault.seed = 99;
+        c.fault.lockLossPerCycle = 2e-4;
+        c.fault.berFloor = 1e-4;
+        c.fault.killLink = 64;
+        c.fault.killCycle = 900;
+        c.fault.orphanTimeoutCycles = 300;
+        return c;
+    };
+    std::uint64_t ref_packets = 0;
+    std::uint64_t ref_audit = 0;
+    std::uint64_t ref =
+        fingerprint(cfg(1, true), 0.6, 29, ref_packets, &ref_audit);
+    ASSERT_GT(ref_packets, 0u);
+    EXPECT_EQ(ref_audit, 0u);
+    for (int shards : {1, 4}) {
+        for (bool elision : {true, false}) {
+            std::uint64_t packets = 0;
+            std::uint64_t audit = 0;
+            EXPECT_EQ(fingerprint(cfg(shards, elision), 0.6, 29, packets,
+                                  &audit),
+                      ref)
+                << "shards=" << shards << " elision=" << elision;
+            EXPECT_EQ(audit, 0u)
                 << "shards=" << shards << " elision=" << elision;
         }
     }

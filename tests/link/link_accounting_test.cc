@@ -7,8 +7,10 @@
  *    mid-wake-settle) must return identical bits and change nothing;
  *  - the wake-from-off transition window draws gate-off power for the
  *    settle interval, not full target power for the whole relock;
- *  - the LinkPowerLedger mirror stays bitwise-equal to the link's own
- *    TimeWeighted through transitions, gating, and resetStats.
+ *  - the link's LinkPowerLedger row is its accounting through
+ *    transitions, gating, faults, and resetStats: the row's columns
+ *    and pending flag track the link's lifecycle, and the link reads
+ *    its power, energy, and flit count back from that row alone.
  *
  * GOLDEN RE-RECORD RATIONALE (wake-settle): before this change a link
  * waking from the gated-off state was charged its full target power
@@ -23,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_injector.hh"
 #include "link/link.hh"
 #include "phy/power_ledger.hh"
 
@@ -50,8 +53,9 @@ TEST(LinkAccounting, RepeatedSamplesAreIdempotent)
     // same cycle must not fold anything twice. Checked at a stable
     // point, mid-transition, and mid-wake-settle.
     auto levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
     OpticalLink link("idem", LinkKind::kInterRouter, levels,
-                     testParams());
+                     testParams(), ledger);
 
     auto sample_twice = [&](Cycle at) {
         double e1 = link.energyMj(at);
@@ -75,7 +79,7 @@ TEST(LinkAccounting, RepeatedSamplesAreIdempotent)
     // Sampling must also not perturb the *future* integral: two links
     // driven identically, one sampled obsessively, agree bitwise.
     OpticalLink quiet("q", LinkKind::kInterRouter, levels,
-                      testParams());
+                      testParams(), ledger);
     quiet.requestLevel(1000, 2);
     quiet.setOff(2000, true);
     quiet.setOff(3000, false);
@@ -90,7 +94,8 @@ TEST(LinkAccounting, WakeChargesSettlePowerThenTargetPower)
     // interval, target power from wakeSettleEnd on.
     auto levels = BitrateLevelTable::linear(5.0, 10.0, 6);
     OpticalLink::Params p = testParams();
-    OpticalLink link("wake", LinkKind::kInterRouter, levels, p);
+    LinkPowerLedger ledger(1);
+    OpticalLink link("wake", LinkKind::kInterRouter, levels, p, ledger);
 
     double full = link.powerMw(0); // stable at initialLevel = max
     link.setOff(1000, true);
@@ -119,7 +124,8 @@ TEST(LinkAccounting, SettleCappedByRelockAndZeroRestoresOldModel)
     // wakeSettleCycles > T_br: the settle cannot outlive the relock.
     OpticalLink::Params p = testParams();
     p.wakeSettleCycles = 1000;
-    OpticalLink capped("cap", LinkKind::kInterRouter, levels, p);
+    LinkPowerLedger ledger(1);
+    OpticalLink capped("cap", LinkKind::kInterRouter, levels, p, ledger);
     capped.setOff(100, true);
     double mark = capped.powerIntegralMwCycles(1000);
     capped.setOff(1000, false);
@@ -131,7 +137,7 @@ TEST(LinkAccounting, SettleCappedByRelockAndZeroRestoresOldModel)
 
     // wakeSettleCycles = 0: bitwise the pre-fix accounting.
     p.wakeSettleCycles = 0;
-    OpticalLink legacy("leg", LinkKind::kInterRouter, levels, p);
+    OpticalLink legacy("leg", LinkKind::kInterRouter, levels, p, ledger);
     legacy.setOff(100, true);
     double lmark = legacy.powerIntegralMwCycles(1000);
     legacy.setOff(1000, false);
@@ -141,48 +147,106 @@ TEST(LinkAccounting, SettleCappedByRelockAndZeroRestoresOldModel)
 
 TEST(LinkAccounting, LedgerMirrorsLinkBitwiseThroughLifecycle)
 {
+    // Two links share one ledger, so each must write and read its own
+    // row: the second link's lifecycle below must leave the first
+    // link's row exactly as its own (untouched) lifecycle left it.
     auto levels = BitrateLevelTable::linear(5.0, 10.0, 6);
-    OpticalLink link("led", LinkKind::kInterRouter, levels,
-                     testParams());
-    LinkPowerLedger led;
-    led.configure(2, ThermalParams{}, 1.8);
-    int id = link.attachLedger(led);
+    LinkPowerLedger led(2);
+    OpticalLink::Params p = testParams();
+    OpticalLink idle("idle", LinkKind::kInjection, levels, p, led);
+    OpticalLink link("led", LinkKind::kInterRouter, levels, p, led);
+    ASSERT_EQ(led.numLinks(), 2);
+    const int id = 1; // rows are numbered in registration order
 
-    auto expect_mirror = [&](Cycle at) {
-        // powerMw/powerIntegralMwCycles advance the link, which
-        // pushes any pending folds into the ledger first.
-        double p = link.powerMw(at);
-        double i = link.powerIntegralMwCycles(at);
-        EXPECT_EQ(led.dynPowerMw(id), p) << "at " << at;
-        EXPECT_EQ(led.dynIntegralMwCycles(id, at), i) << "at " << at;
+    // Construction registers the row at the initial operating point.
+    const double full = link.powerMw(0);
+    EXPECT_EQ(led.kindIndex(id),
+              static_cast<int>(LinkKind::kInterRouter));
+    EXPECT_EQ(led.baselineMw(id), link.maxPowerMw());
+    EXPECT_EQ(led.level(id), p.initialLevel);
+    EXPECT_EQ(led.dynPowerMw(id), full);
+    EXPECT_EQ(led.dynIntegralMwCycles(id, 0), 0.0);
+
+    // Every power change lands in the row at its exact cycle, so the
+    // row integrates the piecewise-constant signal: a reference
+    // TimeWeighted fed the same steps agrees bit for bit.
+    TimeWeighted ref(full);
+    auto expect_row = [&](Cycle at, bool pending) {
+        double mw = link.powerMw(at);
+        ref.update(at, mw);
+        EXPECT_EQ(led.dynPowerMw(id), mw) << "at " << at;
+        EXPECT_EQ(link.powerIntegralMwCycles(at), ref.integral(at))
+            << "at " << at;
+        EXPECT_EQ(led.dynIntegralMwCycles(id, at), ref.integral(at))
+            << "at " << at;
+        EXPECT_EQ(led.isPending(id), pending) << "at " << at;
     };
 
-    expect_mirror(10);
+    expect_row(10, false);
     link.requestLevel(100, 1); // down: freq first, then volt ramp
-    expect_mirror(105);
-    expect_mirror(130);
-    expect_mirror(300);
+    EXPECT_EQ(led.level(id), 1);
+    expect_row(100, true);  // freq switch [100, 120)
+    expect_row(120, true);  // volt ramp down [120, 220)
+    expect_row(220, false); // stable at level 1
     link.setOff(1000, true);
-    expect_mirror(1500);
-    link.setOff(2000, false); // wake with settle
-    expect_mirror(2005);
-    expect_mirror(2014);
-    expect_mirror(2100);
+    expect_row(1000, false); // gated off: holds its power
+    link.setOff(2000, false); // wake: settle [2000, 2010), relock to 2020
+    expect_row(2000, true);
+    expect_row(2010, true);
+    expect_row(2020, false);
 
-    // resetStats restarts both integrals together.
+    // resetStats restarts the row's integral and flit counters.
     link.resetStats(3000);
-    expect_mirror(3000);
-    link.requestLevel(3100, 4);
-    expect_mirror(3500);
+    ref.reset(3000);
+    expect_row(3000, false);
+    link.requestLevel(3100, 4); // up: volt ramp, then freq switch
+    expect_row(3100, true);  // volt ramp up [3100, 3200)
+    expect_row(3200, true);  // freq switch [3200, 3220)
+    expect_row(3220, false); // stable at level 4
 
-    // Flit attribution mirrors accept().
+    // Flits count into the row, per VC.
     Flit f;
     f.flags = Flit::kHeadFlag | Flit::kTailFlag;
     f.len = 1;
     f.vc = 1;
     ASSERT_TRUE(link.canAccept(4000));
     link.accept(4000, f);
-    EXPECT_EQ(led.totalFlits(id), link.totalFlits());
+    EXPECT_EQ(link.totalFlits(), 1u);
+    EXPECT_EQ(led.totalFlits(id), 1u);
     EXPECT_EQ(led.vcFlits(id, 1), 1u);
     EXPECT_EQ(led.vcFlits(id, 0), 0u);
+
+    // A fault model makes the link pending while it can still fail or
+    // lose lock; the hard failure settles it for good.
+    FaultParams fp;
+    fp.enabled = true;
+    fp.killLink = id;
+    fp.killCycle = 6000;
+    FaultInjector faults(fp, led.numLinks());
+    link.setFault(&faults, id);
+    expect_row(5000, true);
+    expect_row(6000, false);
+    EXPECT_TRUE(link.isFailed());
+    EXPECT_EQ(led.dynPowerMw(id), p.offPowerMw);
+
+    // The untouched link's row never moved.
+    EXPECT_EQ(led.dynPowerMw(0), full);
+    EXPECT_EQ(led.dynIntegralMwCycles(0, 6000), full * 6000.0);
+    EXPECT_EQ(led.totalFlits(0), 0u);
+    EXPECT_FALSE(led.isPending(0));
+}
+
+TEST(LinkAccounting, DetachingFaultsClearsPending)
+{
+    auto levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger led(1);
+    OpticalLink link("f", LinkKind::kInterRouter, levels, testParams(),
+                     led);
+    FaultParams fp;
+    fp.enabled = true;
+    FaultInjector faults(fp, 1);
+    link.setFault(&faults, 0);
+    EXPECT_TRUE(led.isPending(0));
+    link.setFault(nullptr, kInvalid);
+    EXPECT_FALSE(led.isPending(0));
 }

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "link/link.hh"
+#include "phy/power_ledger.hh"
 
 using namespace oenet;
 
@@ -41,11 +42,12 @@ class LinkLevelProperty
                              : LinkScheme::kModulator;
         params_.initialLevel = std::get<2>(GetParam());
         link_ = std::make_unique<OpticalLink>(
-            "prop", LinkKind::kInterRouter, levels_, params_);
+            "prop", LinkKind::kInterRouter, levels_, params_, ledger_);
     }
 
     BitrateLevelTable levels_;
     OpticalLink::Params params_;
+    LinkPowerLedger ledger_{1};
     std::unique_ptr<OpticalLink> link_;
 };
 
@@ -76,7 +78,7 @@ TEST_P(LinkLevelProperty, PowerOrderedByLevel)
         OpticalLink::Params lower = params_;
         lower.initialLevel = level - 1;
         OpticalLink other("lower", LinkKind::kInterRouter, levels_,
-                          lower);
+                          lower, ledger_);
         EXPECT_GT(here, other.powerMw(0));
     }
     EXPECT_GT(here, 0.0);

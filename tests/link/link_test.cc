@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "link/link.hh"
+#include "phy/power_ledger.hh"
 
 using namespace oenet;
 
@@ -34,11 +35,13 @@ class LinkTest : public ::testing::Test
   protected:
     LinkTest()
         : levels_(BitrateLevelTable::linear(5.0, 10.0, 6)),
-          link_("test", LinkKind::kInterRouter, levels_, defaultParams())
+          link_("test", LinkKind::kInterRouter, levels_, defaultParams(),
+                ledger_)
     {
     }
 
     BitrateLevelTable levels_;
+    LinkPowerLedger ledger_{1};
     OpticalLink link_;
 };
 
@@ -182,7 +185,8 @@ TEST_F(LinkTest, OpticalScaleChangesDetectorPower)
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
     OpticalLink::Params p;
     p.scheme = LinkScheme::kModulator;
-    OpticalLink link("mod", LinkKind::kInterRouter, levels, p);
+    LinkPowerLedger ledger(1);
+    OpticalLink link("mod", LinkKind::kInterRouter, levels, p, ledger);
     double full = link.powerMw(0);
     link.setOpticalScale(10, 0.25);
     EXPECT_LT(link.powerMw(10), full);
@@ -213,7 +217,8 @@ TEST(LinkInitialLevel, ConfigurableStart)
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
     OpticalLink::Params p;
     p.initialLevel = 2;
-    OpticalLink link("init", LinkKind::kInjection, levels, p);
+    LinkPowerLedger ledger(1);
+    OpticalLink link("init", LinkKind::kInjection, levels, p, ledger);
     EXPECT_EQ(link.currentLevel(), 2);
     EXPECT_DOUBLE_EQ(link.currentBitRateGbps(), 7.0);
 }
@@ -221,8 +226,9 @@ TEST(LinkInitialLevel, ConfigurableStart)
 TEST(LinkDeath, AcceptWhileSerializingPanics)
 {
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
     OpticalLink link("x", LinkKind::kInjection, levels,
-                     OpticalLink::Params{});
+                     OpticalLink::Params{}, ledger);
     link.accept(0, makeFlit());
     EXPECT_DEATH(link.accept(0, makeFlit()), "serializing");
 }
@@ -230,7 +236,8 @@ TEST(LinkDeath, AcceptWhileSerializingPanics)
 TEST(LinkDeath, PopWithoutArrivalPanics)
 {
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
     OpticalLink link("x", LinkKind::kInjection, levels,
-                     OpticalLink::Params{});
+                     OpticalLink::Params{}, ledger);
     EXPECT_DEATH((void)link.popArrival(0), "nothing");
 }

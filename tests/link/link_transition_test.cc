@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "link/link.hh"
+#include "phy/power_ledger.hh"
 
 using namespace oenet;
 
@@ -34,11 +35,12 @@ class LinkTransitionTest : public ::testing::Test
         params_.voltTransitionCycles = 100;
         params_.initialLevel = 2;
         link_ = std::make_unique<OpticalLink>("t", LinkKind::kInterRouter,
-                                              levels_, params_);
+                                              levels_, params_, ledger_);
     }
 
     BitrateLevelTable levels_;
     OpticalLink::Params params_;
+    LinkPowerLedger ledger_{1};
     std::unique_ptr<OpticalLink> link_;
 };
 
@@ -98,7 +100,7 @@ TEST_F(LinkTransitionTest, ZeroDelaysResolveImmediately)
     OpticalLink::Params p = params_;
     p.freqTransitionCycles = 0;
     p.voltTransitionCycles = 0;
-    OpticalLink link("z", LinkKind::kInterRouter, levels_, p);
+    OpticalLink link("z", LinkKind::kInterRouter, levels_, p, ledger_);
     link.requestLevel(10, 5);
     EXPECT_FALSE(link.transitionInProgress(10));
     EXPECT_DOUBLE_EQ(link.currentBitRateGbps(), 10.0);
@@ -112,7 +114,7 @@ TEST_F(LinkTransitionTest, OnlyFreqDelayDisablesLink)
     // T_v = 0: up transitions go straight to the frequency switch.
     OpticalLink::Params p = params_;
     p.voltTransitionCycles = 0;
-    OpticalLink link("f", LinkKind::kInterRouter, levels_, p);
+    OpticalLink link("f", LinkKind::kInterRouter, levels_, p, ledger_);
     link.requestLevel(0, 3);
     EXPECT_FALSE(link.canAccept(10));
     EXPECT_TRUE(link.canAccept(20));
@@ -203,7 +205,8 @@ TEST(LinkTransitionDeath, RequestDuringTransitionPanics)
     auto levels = BitrateLevelTable::linear(5.0, 10.0, 6);
     OpticalLink::Params p;
     p.initialLevel = 2;
-    OpticalLink link("d", LinkKind::kInterRouter, levels, p);
+    LinkPowerLedger ledger(1);
+    OpticalLink link("d", LinkKind::kInterRouter, levels, p, ledger);
     link.requestLevel(0, 3);
     EXPECT_DEATH(link.requestLevel(5, 4), "transition");
 }
@@ -213,7 +216,8 @@ TEST(LinkTransitionDeath, SetOffDuringTransitionPanics)
     auto levels = BitrateLevelTable::linear(5.0, 10.0, 6);
     OpticalLink::Params p;
     p.initialLevel = 2;
-    OpticalLink link("d", LinkKind::kInterRouter, levels, p);
+    LinkPowerLedger ledger(1);
+    OpticalLink link("d", LinkKind::kInterRouter, levels, p, ledger);
     link.requestLevel(0, 3);
     EXPECT_DEATH(link.setOff(5, true), "transition");
 }

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "network/boundary.hh"
+#include "phy/power_ledger.hh"
 
 using namespace oenet;
 
@@ -224,8 +225,9 @@ TEST(BoundaryChannelDirect, FailureVisibleImmediately)
 TEST(BoundaryChannelDeath, ArrivalRingOverflowPanics)
 {
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
     OpticalLink link("bnd", LinkKind::kInterRouter, levels,
-                     OpticalLink::Params{});
+                     OpticalLink::Params{}, ledger);
     RecordingCreditSink upstream;
     BoundaryChannel chan(&link, &upstream, 0);
 
@@ -236,4 +238,37 @@ TEST(BoundaryChannelDeath, ArrivalRingOverflowPanics)
             chan.stageArrival(makeFlit(1, static_cast<std::uint16_t>(i)));
     };
     EXPECT_DEATH(flood(), "arrival ring overflow");
+}
+
+TEST(BoundaryChannelDeath, OverflowBoundsAgainstPublishedHeads)
+{
+    // In cross-shard mode each producer checks its ring against the
+    // consumer's head as of the last publish — the live head belongs
+    // to another shard's thread. A consumer that drained since then
+    // frees no room until the next publish.
+    BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
+    OpticalLink link("bnd", LinkKind::kInterRouter, levels,
+                     OpticalLink::Params{}, ledger);
+    RecordingCreditSink upstream;
+
+    BoundaryChannel flits(&link, &upstream, 0);
+    for (int i = 0; i < 16; i++)
+        flits.stageArrival(makeFlit(1, static_cast<std::uint16_t>(i)));
+    flits.swapBuffers();
+    while (flits.hasReadyArrival())
+        flits.popReadyArrival();
+    for (int i = 16; i < 32; i++) // published 16 + pending 16: fits
+        flits.stageArrival(makeFlit(1, static_cast<std::uint16_t>(i)));
+    EXPECT_DEATH(flits.stageArrival(makeFlit(1, 32)),
+                 "arrival ring overflow");
+
+    BoundaryChannel credits(&link, &upstream, 0);
+    for (int i = 0; i < 4; i++)
+        credits.returnCredit(0, 0, 1);
+    credits.swapBuffers();
+    credits.drainCredits();
+    for (int i = 4; i < 8; i++)
+        credits.returnCredit(0, 0, 2);
+    EXPECT_DEATH(credits.returnCredit(0, 0, 2), "credit ring overflow");
 }

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "network/node.hh"
+#include "phy/power_ledger.hh"
 
 using namespace oenet;
 
@@ -37,16 +38,18 @@ class NodeTest : public ::testing::Test
         np.vcDepth = 8;
         node_ = std::make_unique<Node>(0, np);
         injLink_ = std::make_unique<OpticalLink>(
-            "inj", LinkKind::kInjection, levels_,
-            OpticalLink::Params{});
+            "inj", LinkKind::kInjection, levels_, OpticalLink::Params{},
+            ledger_);
         ejLink_ = std::make_unique<OpticalLink>(
-            "ej", LinkKind::kEjection, levels_, OpticalLink::Params{});
+            "ej", LinkKind::kEjection, levels_, OpticalLink::Params{},
+            ledger_);
         node_->connectInjection(injLink_.get());
         node_->connectEjection(ejLink_.get(), &probe_, 3);
         node_->setPacketSink(&sink_);
     }
 
     BitrateLevelTable levels_;
+    LinkPowerLedger ledger_{2};
     CreditProbe probe_;
     SinkProbe sink_;
     std::unique_ptr<Node> node_;

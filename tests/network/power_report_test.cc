@@ -164,62 +164,6 @@ TEST(PowerReport, LinkRowsReflectTransitionsAndFlitCounters)
     EXPECT_EQ(rows[0].totalFlits, 0u);
 }
 
-namespace {
-
-// Field-by-field bitwise comparison of the ledger-served report
-// against the direct-walk oracle. EXPECT_EQ on doubles on purpose:
-// the ledger mirrors every TimeWeighted fold, so with the thermal
-// model off the two paths must agree to the last bit, not to an
-// epsilon.
-void
-expectReportsBitwiseEqual(const PowerReport &a, const PowerReport &b)
-{
-    EXPECT_EQ(a.at, b.at);
-    EXPECT_EQ(a.totalPowerMw, b.totalPowerMw);
-    EXPECT_EQ(a.baselinePowerMw, b.baselinePowerMw);
-    EXPECT_EQ(a.normalizedPower, b.normalizedPower);
-    for (std::size_t k = 0; k < a.byKind.size(); k++) {
-        const KindReport &ka = a.byKind[k];
-        const KindReport &kb = b.byKind[k];
-        EXPECT_EQ(ka.count, kb.count);
-        EXPECT_EQ(ka.powerMw, kb.powerMw) << "kind " << k;
-        EXPECT_EQ(ka.baselineMw, kb.baselineMw);
-        EXPECT_EQ(ka.normalizedPower, kb.normalizedPower);
-        EXPECT_EQ(ka.meanLevel, kb.meanLevel);
-        EXPECT_EQ(ka.totalFlits, kb.totalFlits);
-        EXPECT_EQ(ka.levelHistogram, kb.levelHistogram);
-    }
-}
-
-} // namespace
-
-TEST(PowerReport, LedgerMatchesDirectWalkBitwise)
-{
-    // Mixed levels, an in-flight transition, and a gated link: the
-    // ledger fast path and the legacy per-link walk must agree
-    // bitwise at every probe point (the leakage-off byte-identity
-    // guarantee, docs/DETERMINISM.md §6).
-    Kernel kernel;
-    Network net(kernel, smallParams());
-    net.link(0).requestLevel(0, 2);
-    net.link(3).requestLevel(0, 4);
-    kernel.run(40); // both still mid-transition
-    expectReportsBitwiseEqual(makePowerReport(net, kernel.now()),
-                              makePowerReportDirect(net, kernel.now()));
-    EXPECT_EQ(net.totalPowerIntegralMwCycles(kernel.now()),
-              net.totalPowerIntegralMwCyclesDirect(kernel.now()));
-
-    kernel.run(2000); // transitions complete
-    net.link(5).setOff(kernel.now(), true);
-    kernel.run(500);
-    expectReportsBitwiseEqual(makePowerReport(net, kernel.now()),
-                              makePowerReportDirect(net, kernel.now()));
-    EXPECT_EQ(net.totalPowerIntegralMwCycles(kernel.now()),
-              net.totalPowerIntegralMwCyclesDirect(kernel.now()));
-    EXPECT_EQ(net.totalPowerMw(kernel.now()),
-              net.totalPowerMwDirect(kernel.now()));
-}
-
 TEST(PowerReport, ThermalReportPopulatesLeakageFields)
 {
     Network::Params p = smallParams();

@@ -1,11 +1,11 @@
 /**
  * @file
- * LinkPowerLedger unit tests: the SoA columns must mirror a
- * TimeWeighted integrator *bitwise* (that equivalence is what keeps
- * leakage-off outputs byte-identical to the direct per-link walk),
- * per-VC energy attribution must split each link's integral by its
- * flit counts, and the batched thermal epoch must converge under the
- * leakage feedback loop.
+ * LinkPowerLedger unit tests: the SoA columns must fold exactly like a
+ * TimeWeighted integrator, *bitwise* (that equivalence is what keeps
+ * leakage-off outputs byte-identical to the era of per-link
+ * integrators), per-VC energy attribution must split each link's
+ * integral by its flit counts, and the batched thermal epoch must
+ * converge under the leakage feedback loop.
  */
 
 #include <cmath>
@@ -31,8 +31,7 @@ thermalOn()
 
 TEST(PowerLedger, MirrorsTimeWeightedBitwise)
 {
-    LinkPowerLedger led;
-    led.configure(1, ThermalParams{}, 1.8);
+    LinkPowerLedger led(1);
     int id = led.addLink(0, 291.25, 5, 291.25, 1.0);
 
     TimeWeighted tw(291.25);
@@ -57,8 +56,7 @@ TEST(PowerLedger, MirrorsTimeWeightedBitwise)
 
 TEST(PowerLedger, ResetDynamicMirrorsTimeWeightedReset)
 {
-    LinkPowerLedger led;
-    led.configure(2, ThermalParams{}, 1.8);
+    LinkPowerLedger led(2);
     int id = led.addLink(0, 291.25, 5, 291.25, 1.0);
     TimeWeighted tw(291.25);
 
@@ -78,27 +76,49 @@ TEST(PowerLedger, ResetDynamicMirrorsTimeWeightedReset)
     EXPECT_EQ(led.dynIntegralMwCycles(id, 1500), tw.integral(1500));
 }
 
-TEST(PowerLedger, UnstableFlagTracksSetStable)
+TEST(PowerLedger, PendingFlagTracksSetPending)
 {
-    LinkPowerLedger led;
-    led.configure(1, ThermalParams{}, 1.8);
+    LinkPowerLedger led(1);
     int a = led.addLink(0, 100.0, 0, 100.0, 1.0);
     int b = led.addLink(1, 100.0, 0, 100.0, 1.0);
-    EXPECT_FALSE(led.isUnstable(a));
-    EXPECT_FALSE(led.isUnstable(b));
-    led.setStable(b, false);
-    EXPECT_FALSE(led.isUnstable(a));
-    EXPECT_TRUE(led.isUnstable(b));
-    led.setStable(b, false); // idempotent
-    EXPECT_TRUE(led.isUnstable(b));
-    led.setStable(b, true);
-    EXPECT_FALSE(led.isUnstable(b));
+    EXPECT_FALSE(led.isPending(a));
+    EXPECT_FALSE(led.isPending(b));
+    led.setPending(b, true);
+    EXPECT_FALSE(led.isPending(a));
+    EXPECT_TRUE(led.isPending(b));
+    led.setPending(b, true); // idempotent
+    EXPECT_TRUE(led.isPending(b));
+    led.setPending(b, false);
+    EXPECT_FALSE(led.isPending(b));
+}
+
+TEST(PowerLedgerDeath, TimeGoingBackwardsPanics)
+{
+    // The row is the link's only integrator, so it keeps
+    // TimeWeighted::update's guard: folding a negative interval would
+    // silently subtract energy.
+    LinkPowerLedger led(1);
+    int id = led.addLink(0, 291.25, 5, 291.25, 1.0);
+    led.updateDynamic(id, 500, 61.25, 0.5);
+    EXPECT_DEATH(led.updateDynamic(id, 499, 119.5, 0.7),
+                 "time went backwards");
+}
+
+TEST(PowerLedgerDeath, FlitPastTheVcRowPanics)
+{
+    // Rows are sized by the constructor's VC count; a flit on a VC the
+    // ledger was not sized for must not spill into the next row.
+    LinkPowerLedger led(2);
+    int a = led.addLink(0, 100.0, 0, 100.0, 1.0);
+    led.addLink(0, 100.0, 0, 100.0, 1.0);
+    led.countFlit(a, 1);
+    EXPECT_DEATH(led.countFlit(a, 2), "vc 2 of 2");
+    EXPECT_DEATH(led.countFlit(a, -1), "vc -1 of 2");
 }
 
 TEST(PowerLedger, AttributesEnergyByVcFlitShares)
 {
-    LinkPowerLedger led;
-    led.configure(2, ThermalParams{}, 1.8);
+    LinkPowerLedger led(2);
     int a = led.addLink(0, 100.0, 0, 100.0, 1.0); // 100 mW constant
     int b = led.addLink(0, 200.0, 0, 200.0, 1.0); // 200 mW constant
 
@@ -126,8 +146,7 @@ TEST(PowerLedger, AttributesEnergyByVcFlitShares)
 
 TEST(PowerLedger, ThermalDisabledContributesExactZero)
 {
-    LinkPowerLedger led;
-    led.configure(1, ThermalParams{}, 1.8);
+    LinkPowerLedger led(1);
     int id = led.addLink(0, 291.25, 5, 291.25, 1.0);
     led.advanceThermal(100000); // must be a no-op
     EXPECT_EQ(led.leakPowerMw(id), 0.0);
@@ -143,8 +162,7 @@ TEST(PowerLedger, ThermalEpochConvergesWithLeakageFeedback)
     // (no oscillation), leakage must grow with it, and the fixed
     // point must satisfy T = steadyTempC(dyn + leak(T)).
     ThermalParams p = thermalOn();
-    LinkPowerLedger led;
-    led.configure(1, p, 1.8);
+    LinkPowerLedger led(1, p, 1.8);
     int id = led.addLink(0, 291.25, 5, 291.25, 1.0);
 
     LeakageModel model(p, 1.8);
@@ -178,8 +196,7 @@ TEST(PowerLedger, ThermalEpochConvergesWithLeakageFeedback)
 TEST(PowerLedger, GatedLinkCoolsToAmbientAndStopsLeaking)
 {
     ThermalParams p = thermalOn();
-    LinkPowerLedger led;
-    led.configure(1, p, 1.8);
+    LinkPowerLedger led(1, p, 1.8);
     int id = led.addLink(0, 291.25, 5, 291.25, 1.0);
 
     // Warm it up, then gate it off (0 mW dynamic, vdd cut).

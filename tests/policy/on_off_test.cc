@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "phy/power_ledger.hh"
 #include "policy/on_off.hh"
 
 using namespace oenet;
@@ -13,7 +14,7 @@ class OnOffTest : public ::testing::Test
     {
         OpticalLink::Params lp;
         link_ = std::make_unique<OpticalLink>("l", LinkKind::kInterRouter,
-                                              levels_, lp);
+                                              levels_, lp, ledger_);
     }
 
     OnOffController::Params params()
@@ -25,6 +26,7 @@ class OnOffTest : public ::testing::Test
     }
 
     BitrateLevelTable levels_;
+    LinkPowerLedger ledger_{1};
     std::unique_ptr<OpticalLink> link_;
     bool waiting_ = false;
 };

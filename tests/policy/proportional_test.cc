@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/sweeps.hh"
+#include "phy/power_ledger.hh"
 #include "policy/proportional.hh"
 
 using namespace oenet;
@@ -63,8 +64,9 @@ TEST(ProportionalPolicy, HeadroomMultiplies)
 TEST(ProportionalController, TracksLoadOnALink)
 {
     auto levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
     OpticalLink link("p", LinkKind::kInterRouter, levels,
-                     OpticalLink::Params{});
+                     OpticalLink::Params{}, ledger);
     ProportionalDvsParams params;
     params.slidingWindows = 1;
     ProportionalController ctrl(link, params);

@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 
+#include "phy/power_ledger.hh"
 #include "router/router.hh"
 
 using namespace oenet;
@@ -57,10 +58,10 @@ class RouterPipelineTest : public ::testing::Test
         for (int p = 0; p < kPorts; p++) {
             inLinks_.push_back(std::make_unique<OpticalLink>(
                 "in" + std::to_string(p), LinkKind::kInterRouter,
-                levels_, lp));
+                levels_, lp, ledger_));
             outLinks_.push_back(std::make_unique<OpticalLink>(
                 "out" + std::to_string(p), LinkKind::kInterRouter,
-                levels_, lp));
+                levels_, lp, ledger_));
             router_->connectInput(p, inLinks_[p].get(), &probe_, p);
             router_->connectOutput(p, outLinks_[p].get(), kVcDepth);
         }
@@ -108,6 +109,7 @@ class RouterPipelineTest : public ::testing::Test
 
     MeshTopology mesh_;
     BitrateLevelTable levels_;
+    LinkPowerLedger ledger_{2};
     CreditProbe probe_;
     std::unique_ptr<Router> router_;
     std::vector<std::unique_ptr<OpticalLink>> inLinks_;

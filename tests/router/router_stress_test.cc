@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "common/rng.hh"
+#include "phy/power_ledger.hh"
 #include "router/router.hh"
 
 using namespace oenet;
@@ -51,10 +52,10 @@ class RouterStressTest : public ::testing::TestWithParam<std::uint64_t>
         for (int p = 0; p < kPorts; p++) {
             in_.push_back(std::make_unique<OpticalLink>(
                 "in" + std::to_string(p), LinkKind::kInterRouter,
-                levels_, lp));
+                levels_, lp, ledger_));
             out_.push_back(std::make_unique<OpticalLink>(
                 "out" + std::to_string(p), LinkKind::kInterRouter,
-                levels_, lp));
+                levels_, lp, ledger_));
             router_->connectInput(p, in_[static_cast<std::size_t>(p)].get(),
                                   &probe_, p);
             router_->connectOutput(
@@ -64,6 +65,7 @@ class RouterStressTest : public ::testing::TestWithParam<std::uint64_t>
 
     MeshTopology mesh_;
     BitrateLevelTable levels_;
+    LinkPowerLedger ledger_{kVcs};
     CreditProbe probe_;
     std::unique_ptr<Router> router_;
     std::vector<std::unique_ptr<OpticalLink>> in_;
