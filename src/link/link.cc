@@ -85,6 +85,8 @@ OpticalLink::refreshSignals(Cycle at)
     }
     if (wakeSettleEnd_ != kNeverCycle && at >= wakeSettleEnd_)
         wakeSettleEnd_ = kNeverCycle;
+    if (faults_ != nullptr)
+        corruptProb_ = flitCorruptProb();
 
     // Operating point used for *power*: voltage is conservatively the
     // higher of the two endpoints mid-transition (it ramps before the
@@ -166,6 +168,8 @@ OpticalLink::setFault(FaultInjector *faults, int link_id)
 {
     faults_ = faults;
     faultId_ = link_id;
+    corruptProb_ = faults != nullptr ? flitCorruptProb() : 0.0;
+    syncFaultHorizon();
     syncPending();
     if (arrivalFlags_ != nullptr)
         *arrivalFlags_ |= arrivalBit_;
@@ -237,7 +241,7 @@ OpticalLink::armReceiverTransitionWake()
 void
 OpticalLink::advance(Cycle now)
 {
-    if (faults_ != nullptr)
+    if (now >= faultHorizon_)
         faultAdvance(now);
     phaseAdvance(now);
     if (pendingPowerAt_ <= now) {
@@ -250,10 +254,17 @@ OpticalLink::advance(Cycle now)
 }
 
 void
+OpticalLink::syncFaultHorizon()
+{
+    faultHorizon_ = faults_ == nullptr || failed_
+                        ? kNeverCycle
+                        : std::min(faults_->peekLockLoss(faultId_),
+                                   faults_->hardFailAtCycle(faultId_));
+}
+
+void
 OpticalLink::faultAdvance(Cycle now)
 {
-    if (failed_)
-        return;
     Cycle fail_at = faults_->hardFailAtCycle(faultId_);
     Cycle horizon = std::min(now, fail_at);
 
@@ -266,6 +277,7 @@ OpticalLink::faultAdvance(Cycle now)
         if (at > horizon)
             break;
         faults_->consumeLockLoss(faultId_);
+        syncFaultHorizon();
         phaseAdvance(at);
         if (phase_ != Phase::kStable)
             continue;
@@ -299,6 +311,7 @@ void
 OpticalLink::failLink(Cycle at)
 {
     failed_ = true;
+    syncFaultHorizon();
     // Any transition underway will never complete; drop its pending
     // trace report rather than fabricating a completion.
     transitionType_ = nullptr;
@@ -380,7 +393,7 @@ OpticalLink::accept(Cycle now, const Flit &flit)
     f.arrives = arrives;
     f.attempts = 0;
     f.corrupt = faults_ != nullptr &&
-                faults_->drawFlitCorrupt(faultId_, flitCorruptProb());
+                faults_->drawFlitCorrupt(faultId_, corruptProb_);
     if (f.corrupt)
         flitsCorrupted_++;
     inflightCount_++;
@@ -397,24 +410,6 @@ OpticalLink::accept(Cycle now, const Flit &flit)
         receiver_->wakeAt(arrives > receiverWakeLead_
                               ? arrives - receiverWakeLead_
                               : 0);
-}
-
-Cycle
-OpticalLink::nextReceiverEventCycle() const
-{
-    Cycle next = kNeverCycle;
-    if (inflightCount_ > 0)
-        next = inflight_[inflightHead_].arrives;
-    if (faults_ != nullptr && !failed_) {
-        // An every-cycle poller would discover these during its
-        // hasArrival() walk; a parked receiver must come back at the
-        // same cycles so counters and trace emission land identically.
-        next = std::min(next, faults_->peekLockLoss(faultId_));
-        next = std::min(next, faults_->hardFailAtCycle(faultId_));
-        if (phase_ != Phase::kStable && phase_ != Phase::kOff)
-            next = std::min(next, phaseEnd_);
-    }
-    return next;
 }
 
 double
@@ -476,8 +471,7 @@ OpticalLink::reliabilityAdvance(Cycle now)
         head.arrives = arrives;
         if (arrives > lastArrival_)
             lastArrival_ = arrives;
-        head.corrupt =
-            faults_->drawFlitCorrupt(faultId_, flitCorruptProb());
+        head.corrupt = faults_->drawFlitCorrupt(faultId_, corruptProb_);
         if (head.corrupt)
             flitsCorrupted_++;
         if (traceSink_) {

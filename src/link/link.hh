@@ -46,6 +46,7 @@
 #ifndef OENET_LINK_LINK_HH
 #define OENET_LINK_LINK_HH
 
+#include <algorithm>
 #include <string>
 
 #include "common/stats.hh"
@@ -111,13 +112,12 @@ class OpticalLink
      *  is accepted as soon as the transmitter frees up *within* cycle
      *  [now, now+1), so fractional serialization credit carries across
      *  cycles and the saturated rate matches the level's bit rate
-     *  exactly. Inline fast path: a stable link needs no state walk. */
+     *  exactly. Inline fast path: a stable link with no scheduled
+     *  fault due by @p now needs no state walk (a fault-free link's
+     *  fault horizon is kNeverCycle). */
     bool canAccept(Cycle now)
     {
-        // With faults attached the stable fast path is unsafe: a
-        // scheduled failure may be due, and only the state walk in
-        // canAcceptSlow discovers it.
-        if (faults_ == nullptr && phase_ == Phase::kStable) {
+        if (phase_ == Phase::kStable && now < faultHorizon_) {
             return inflightCount_ < kInflightCap &&
                    static_cast<double>(now) + 1.0 > nextFree_ + 1e-9;
         }
@@ -156,10 +156,14 @@ class OpticalLink
      * the count. Equivalent to `while (hasArrival(now))
      * sink(popArrival(now))` but with no fault model attached it is a
      * single branch-light ring walk — arrival stamps are final, so
-     * nothing re-checks the head between pops. With faults the
-     * per-flit poll loop is kept: each pop can expose a corrupt head
-     * whose replay walk (RNG draws, trace events) must run before the
-     * next arrival test.
+     * nothing re-checks the head between pops. With faults a poll
+     * before nextReceiverEventCycle() returns at once: no arrival,
+     * scheduled fault or phase end is due, so the reliability walk
+     * would change nothing but the timing of a wake-settle power fold,
+     * which is stamped with its own cycle (docs/DETERMINISM.md §6).
+     * Otherwise the per-flit poll loop runs: each pop can expose a
+     * corrupt head whose replay walk (RNG draws, trace events) must
+     * run before the next arrival test.
      */
     template <typename SinkFn>
     int drainArrivalsDue(Cycle now, SinkFn &&sink)
@@ -177,6 +181,8 @@ class OpticalLink
             inflightCount_ -= n;
             return n;
         }
+        if (nextReceiverEventCycle() > now)
+            return 0;
         int n = 0;
         while (hasArrival(now)) {
             sink(popArrival(now));
@@ -201,8 +207,9 @@ class OpticalLink
      * @p bit into *@p flags, so the receiver can visit only the inputs
      * with something in flight instead of polling every link each
      * tick (Router::drainArrivals). Attaching a fault model sets the
-     * bit too — a faulted link is polled on every receiver tick. Null
-     * detaches.
+     * bit too — a faulted link stays flagged and is polled on every
+     * receiver tick; the poll returns at once until
+     * nextReceiverEventCycle() is due. Null detaches.
      */
     void setArrivalFlag(std::uint64_t *flags, std::uint64_t bit)
     {
@@ -230,8 +237,18 @@ class OpticalLink
      * nothing is pending. A quiescing receiver re-arms its wake from
      * this; the extra fault/phase terms keep lazily-emitted trace
      * events at the same file positions as an every-cycle poller.
+     * O(1): the scheduled faults are the cached fault horizon.
      */
-    Cycle nextReceiverEventCycle() const;
+    Cycle nextReceiverEventCycle() const
+    {
+        Cycle next = inflightCount_ > 0 ? inflight_[inflightHead_].arrives
+                                        : kNeverCycle;
+        next = std::min(next, faultHorizon_);
+        if (faults_ != nullptr && phase_ != Phase::kStable &&
+            phase_ != Phase::kOff)
+            next = std::min(next, phaseEnd_);
+        return next;
+    }
 
     // ------------------------------------------------------------------
     // Power control
@@ -380,7 +397,11 @@ class OpticalLink
     bool canAcceptSlow(Cycle now);
 
     /** Per-flit corruption probability at the current operating point:
-     *  flitErrorProb over the margin-derived BER. */
+     *  flitErrorProb over the margin-derived BER. A pure function of
+     *  the level (the from-level during kVoltRampUp), the optical
+     *  scale and the fault parameters, so it is evaluated only where
+     *  one of those changes (refreshSignals, setFault) and read back
+     *  from corruptProb_. */
     double flitCorruptProb() const;
 
     /** Replay corrupted head-of-line flits whose (corrupt) arrival is
@@ -390,8 +411,13 @@ class OpticalLink
     void reliabilityAdvance(Cycle now);
 
     /** Process scheduled faults (lock loss, hard failure) with cycles
-     *  <= @p now at their exact times. */
+     *  <= @p now at their exact times. @pre now >= faultHorizon_. */
     void faultAdvance(Cycle now);
+
+    /** Recompute faultHorizon_ from the injector: the earlier of the
+     *  next lock loss and the hard failure, kNeverCycle when no
+     *  injector is attached or the link has failed. */
+    void syncFaultHorizon();
 
     /** Permanent failure at @p at: drop in-flight flits, gate off. */
     void failLink(Cycle at);
@@ -464,10 +490,16 @@ class OpticalLink
     std::uint64_t *arrivalFlags_ = nullptr;
     std::uint64_t arrivalBit_ = 0;
 
-    // Faults / reliability.
+    // Faults / reliability. faultHorizon_ caches the earliest scheduled
+    // fault not yet processed (syncFaultHorizon); nothing is due before
+    // it, so polls and canAccept skip the fault walk until then.
+    // corruptProb_ memoizes flitCorruptProb() at the current operating
+    // point.
     FaultInjector *faults_ = nullptr;
     int faultId_ = kInvalid;
     bool failed_ = false;
+    Cycle faultHorizon_ = kNeverCycle;
+    double corruptProb_ = 0.0;
     std::uint64_t flitsCorrupted_ = 0;
     std::uint64_t flitRetries_ = 0;
     std::uint64_t lockLossEvents_ = 0;

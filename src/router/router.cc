@@ -574,7 +574,9 @@ Router::drainArrivals(Cycle now)
             l->drainArrivalsDue(now, deliver);
             // An empty fault-free link has nothing to hand over until
             // its next accept() sets the bit again. A faulted one stays
-            // flagged: every poll advances its reliability walk.
+            // flagged: its scheduled faults and transition ends are
+            // receiver events too, and the poll is O(1) until one is
+            // due.
             if (l->inFlight() == 0 && !l->faultModel())
                 inputPending_ &= ~(1ull << p);
         }

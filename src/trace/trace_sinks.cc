@@ -1,6 +1,10 @@
 #include "trace/trace_sinks.hh"
 
+#include <charconv>
+#include <concepts>
 #include <cstdio>
+#include <cstring>
+#include <string_view>
 
 #include "common/fs.hh"
 #include "common/log.hh"
@@ -37,6 +41,88 @@ quoted(const std::string &s)
     out += '"';
     return out;
 }
+
+/**
+ * One JSONL line, formatted into a fixed stack buffer and handed to the
+ * stream in a single write (end()). Numbers go through std::to_chars:
+ * integers in plain decimal, as ostream inserts them, and doubles with
+ * chars_format::general at precision 17, which the standard defines as
+ * printf's "%.17g" in the C locale — the same bytes num() produces. A
+ * line longer than the buffer (only power snapshots with many VCs can
+ * be) is written in pieces.
+ */
+class JsonlLine
+{
+  public:
+    explicit JsonlLine(std::ostream &os) : os_(os) {}
+
+    JsonlLine &operator<<(std::string_view text)
+    {
+        if (text.size() > kCap) {
+            flush();
+            os_.write(text.data(), static_cast<std::streamsize>(text.size()));
+            return *this;
+        }
+        room(text.size());
+        std::memcpy(buf_ + len_, text.data(), text.size());
+        len_ += text.size();
+        return *this;
+    }
+
+    JsonlLine &operator<<(const char *text)
+    {
+        return *this << std::string_view(text);
+    }
+
+    JsonlLine &operator<<(double v)
+    {
+        room(kNumberMax);
+        char *end = std::to_chars(buf_ + len_, buf_ + kCap, v,
+                                  std::chars_format::general, 17)
+                        .ptr;
+        len_ = static_cast<std::size_t>(end - buf_);
+        return *this;
+    }
+
+    template <std::integral T>
+    JsonlLine &operator<<(T v)
+    {
+        room(kNumberMax);
+        char *end = std::to_chars(buf_ + len_, buf_ + kCap, v).ptr;
+        len_ = static_cast<std::size_t>(end - buf_);
+        return *this;
+    }
+
+    /** Terminate the line and write it. */
+    void end()
+    {
+        room(1);
+        buf_[len_++] = '\n';
+        flush();
+    }
+
+  private:
+    // Longest %.17g form is 24 chars ("-2.2250738585072014e-308"); a
+    // 64-bit integer takes at most 20.
+    static constexpr std::size_t kNumberMax = 32;
+    static constexpr std::size_t kCap = 1024;
+
+    void room(std::size_t n)
+    {
+        if (kCap - len_ < n)
+            flush();
+    }
+
+    void flush()
+    {
+        os_.write(buf_, static_cast<std::streamsize>(len_));
+        len_ = 0;
+    }
+
+    std::ostream &os_;
+    char buf_[kCap];
+    std::size_t len_ = 0;
+};
 
 /** Close a file-backed sink's stream and rename its temp file into
  *  place; no-op for stream-backed sinks. */
@@ -113,110 +199,119 @@ JsonlTraceSink::~JsonlTraceSink()
 void
 JsonlTraceSink::beginRun(const std::vector<TraceLinkInfo> &links)
 {
-    os_ << "{\"type\": \"run_begin\", \"links\": " << links.size()
-        << "}\n";
+    (JsonlLine(os_) << "{\"type\": \"run_begin\", \"links\": "
+                    << links.size() << "}")
+        .end();
     for (const TraceLinkInfo &l : links) {
-        os_ << "{\"type\": \"link\", \"id\": " << l.id
-            << ", \"name\": " << quoted(l.name) << ", \"kind\": \""
-            << l.kind << "\"}\n";
+        (JsonlLine(os_) << "{\"type\": \"link\", \"id\": " << l.id
+                        << ", \"name\": " << quoted(l.name)
+                        << ", \"kind\": \"" << l.kind << "\"}")
+            .end();
     }
 }
 
 void
 JsonlTraceSink::linkTransition(const LinkTransitionEvent &e)
 {
-    os_ << "{\"type\": \"transition\", \"at\": " << u64(e.completedAt)
-        << ", \"start\": " << u64(e.startedAt)
-        << ", \"link\": " << e.linkId << ", \"from\": " << e.fromLevel
-        << ", \"to\": " << e.toLevel
-        << ", \"latency\": " << u64(e.completedAt - e.startedAt)
-        << ", \"kind\": \"" << e.type << "\"}\n";
+    (JsonlLine(os_) << "{\"type\": \"transition\", \"at\": "
+                    << e.completedAt << ", \"start\": " << e.startedAt
+                    << ", \"link\": " << e.linkId
+                    << ", \"from\": " << e.fromLevel
+                    << ", \"to\": " << e.toLevel << ", \"latency\": "
+                    << e.completedAt - e.startedAt << ", \"kind\": \""
+                    << e.type << "\"}")
+        .end();
 }
 
 void
 JsonlTraceSink::dvsDecision(const DvsDecisionEvent &e)
 {
-    os_ << "{\"type\": \"dvs\", \"at\": " << u64(e.at)
-        << ", \"link\": " << e.linkId << ", \"lu\": " << num(e.lu)
-        << ", \"avg_lu\": " << num(e.avgLu)
-        << ", \"bu\": " << num(e.bu)
-        << ", \"th_low\": " << num(e.thLow)
-        << ", \"th_high\": " << num(e.thHigh) << ", \"decision\": \""
-        << e.decision << "\", \"level\": " << e.level
-        << ", \"backlog_escalated\": " << (e.backlogEscalated ? 1 : 0)
-        << ", \"downgrade_vetoed\": " << (e.downgradeVetoed ? 1 : 0)
-        << "}\n";
+    (JsonlLine(os_) << "{\"type\": \"dvs\", \"at\": " << e.at
+                    << ", \"link\": " << e.linkId << ", \"lu\": " << e.lu
+                    << ", \"avg_lu\": " << e.avgLu << ", \"bu\": " << e.bu
+                    << ", \"th_low\": " << e.thLow
+                    << ", \"th_high\": " << e.thHigh
+                    << ", \"decision\": \"" << e.decision
+                    << "\", \"level\": " << e.level
+                    << ", \"backlog_escalated\": "
+                    << (e.backlogEscalated ? 1 : 0)
+                    << ", \"downgrade_vetoed\": "
+                    << (e.downgradeVetoed ? 1 : 0) << "}")
+        .end();
 }
 
 void
 JsonlTraceSink::laserEvent(const LaserTraceEvent &e)
 {
-    os_ << "{\"type\": \"laser\", \"at\": " << u64(e.at)
-        << ", \"link\": " << e.linkId << ", \"action\": \"" << e.action
-        << "\", \"from\": " << e.fromLevel << ", \"to\": " << e.toLevel
-        << "}\n";
+    (JsonlLine(os_) << "{\"type\": \"laser\", \"at\": " << e.at
+                    << ", \"link\": " << e.linkId << ", \"action\": \""
+                    << e.action << "\", \"from\": " << e.fromLevel
+                    << ", \"to\": " << e.toLevel << "}")
+        .end();
 }
 
 void
 JsonlTraceSink::packetRetire(const PacketRetireEvent &e)
 {
-    os_ << "{\"type\": \"packet\", \"at\": " << u64(e.at)
-        << ", \"id\": " << u64(e.packet) << ", \"src\": " << e.src
-        << ", \"dst\": " << e.dst
-        << ", \"created\": " << u64(e.createdAt)
-        << ", \"latency\": " << u64(e.latency)
-        << ", \"len\": " << e.lenFlits << "}\n";
+    (JsonlLine(os_) << "{\"type\": \"packet\", \"at\": " << e.at
+                    << ", \"id\": " << e.packet << ", \"src\": " << e.src
+                    << ", \"dst\": " << e.dst
+                    << ", \"created\": " << e.createdAt
+                    << ", \"latency\": " << e.latency
+                    << ", \"len\": " << e.lenFlits << "}")
+        .end();
 }
 
 void
 JsonlTraceSink::faultEvent(const FaultEvent &e)
 {
-    os_ << "{\"type\": \"fault\", \"at\": " << u64(e.at)
-        << ", \"link\": " << e.linkId << ", \"kind\": \"" << e.kind
-        << "\", \"attempts\": " << e.attempts
-        << ", \"aux\": " << num(e.aux) << "}\n";
+    (JsonlLine(os_) << "{\"type\": \"fault\", \"at\": " << e.at
+                    << ", \"link\": " << e.linkId << ", \"kind\": \""
+                    << e.kind << "\", \"attempts\": " << e.attempts
+                    << ", \"aux\": " << e.aux << "}")
+        .end();
 }
 
 void
 JsonlTraceSink::powerSnapshot(const PowerSnapshotEvent &e)
 {
-    os_ << "{\"type\": \"power\", \"at\": " << u64(e.at)
-        << ", \"total_mw\": " << num(e.totalPowerMw)
-        << ", \"baseline_mw\": " << num(e.baselinePowerMw)
-        << ", \"normalized\": " << num(e.normalizedPower)
-        << ", \"kinds\": [";
+    JsonlLine line(os_);
+    line << "{\"type\": \"power\", \"at\": " << e.at
+         << ", \"total_mw\": " << e.totalPowerMw
+         << ", \"baseline_mw\": " << e.baselinePowerMw
+         << ", \"normalized\": " << e.normalizedPower << ", \"kinds\": [";
     for (int k = 0; k < e.numKinds; k++) {
         const auto &kr = e.kinds[k];
         if (k > 0)
-            os_ << ", ";
-        os_ << "{\"kind\": \"" << kr.kind
-            << "\", \"count\": " << kr.count
-            << ", \"power_mw\": " << num(kr.powerMw)
-            << ", \"baseline_mw\": " << num(kr.baselineMw)
-            << ", \"mean_level\": " << num(kr.meanLevel)
-            << ", \"flits\": " << u64(kr.totalFlits) << "}";
+            line << ", ";
+        line << "{\"kind\": \"" << kr.kind << "\", \"count\": " << kr.count
+             << ", \"power_mw\": " << kr.powerMw
+             << ", \"baseline_mw\": " << kr.baselineMw
+             << ", \"mean_level\": " << kr.meanLevel
+             << ", \"flits\": " << kr.totalFlits << "}";
     }
-    os_ << "]";
+    line << "]";
     if (e.hasThermal) {
         // Appended only when the thermal model is on, so leakage-off
         // traces stay byte-identical to the pre-thermal format.
-        os_ << ", \"leakage_mw\": " << num(e.leakagePowerMw)
-            << ", \"max_temp_c\": " << num(e.maxTempC)
-            << ", \"vc_energy_mwc\": [";
+        line << ", \"leakage_mw\": " << e.leakagePowerMw
+             << ", \"max_temp_c\": " << e.maxTempC
+             << ", \"vc_energy_mwc\": [";
         for (std::size_t v = 0; v < e.vcEnergyMwCycles.size(); v++) {
             if (v > 0)
-                os_ << ", ";
-            os_ << num(e.vcEnergyMwCycles[v]);
+                line << ", ";
+            line << e.vcEnergyMwCycles[v];
         }
-        os_ << "]";
+        line << "]";
     }
-    os_ << "}\n";
+    line << "}";
+    line.end();
 }
 
 void
 JsonlTraceSink::endRun(Cycle at)
 {
-    os_ << "{\"type\": \"run_end\", \"at\": " << u64(at) << "}\n";
+    (JsonlLine(os_) << "{\"type\": \"run_end\", \"at\": " << at << "}").end();
     os_.flush();
 }
 

@@ -65,8 +65,14 @@ TEST(Proc, ExceptionBecomesExceptionExit)
 
 TEST(Proc, CrashIsReportedAsSignal)
 {
-    ChildResult r =
-        runInChild([](int) { std::raise(SIGSEGV); }, 0.0);
+    // Restore the default action first: a sanitizer runtime installs
+    // its own SEGV handler, which would turn the crash into an exit.
+    ChildResult r = runInChild(
+        [](int) {
+            std::signal(SIGSEGV, SIG_DFL);
+            std::raise(SIGSEGV);
+        },
+        0.0);
     ASSERT_EQ(r.status, ChildResult::Status::kSignaled);
     EXPECT_EQ(r.code, SIGSEGV);
     EXPECT_NE(r.describe().find("signal"), std::string::npos);

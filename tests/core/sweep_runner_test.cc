@@ -297,8 +297,9 @@ TEST(SweepRobustness, ExhaustedRetriesRecordFailedOutcome)
     EXPECT_EQ(bad.metrics.avgLatency, 0.0) << "failed metrics zeroed";
     // The other five points are intact.
     for (std::size_t i = 0; i < report.outcomes.size(); i++) {
-        if (i != 3)
+        if (i != 3) {
             EXPECT_TRUE(report.outcomes[i].ok());
+        }
     }
 }
 
@@ -364,8 +365,13 @@ TEST(SweepRobustness, IsolatedCrashIsContained)
     opts.maxRetries = 0;
     SweepReport report = SweepRunner(opts).run(
         smallSweep(), [&](const SweepPoint &p, std::uint64_t seed) {
-            if (p.label == "rate=0.6/pa")
-                std::raise(SIGSEGV); // dies in the child, not here
+            if (p.label == "rate=0.6/pa") {
+                // Dies in the child, not here. The default action is
+                // restored first: a sanitizer runtime's SEGV handler
+                // would turn the crash into an exit.
+                std::signal(SIGSEGV, SIG_DFL);
+                std::raise(SIGSEGV);
+            }
             return syntheticMetrics(p, seed);
         });
     ASSERT_EQ(report.outcomes.size(), 6u);

@@ -5,6 +5,8 @@
  * and determinism of the whole machinery.
  */
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +14,7 @@
 #include "fault/fault_injector.hh"
 #include "link/link.hh"
 #include "phy/power_ledger.hh"
+#include "trace/trace_sinks.hh"
 
 using namespace oenet;
 
@@ -193,4 +196,145 @@ TEST(HardFail, FailedLinkReportsOffPower)
     Pump pump(p, lp);
     EXPECT_FALSE(pump.link.canAccept(50));
     EXPECT_DOUBLE_EQ(pump.link.powerMw(60), 1.25);
+}
+
+namespace {
+
+/** How a receiver polls a faulted link. */
+enum class Poll
+{
+    kWalkEveryCycle, ///< hasArrival/popArrival: the full walk each cycle
+    kDrainEveryCycle, ///< drainArrivalsDue each cycle (skips internally)
+    kDrainWhenDue,    ///< only when nextReceiverEventCycle() <= now
+};
+
+/** Everything a faulted link's receiver can observe, for one run. */
+struct TwinResult
+{
+    std::vector<std::pair<std::uint16_t, Cycle>> pops;
+    std::vector<std::uint64_t> counters;
+    std::vector<double> integrals; ///< ledger reads, then the final one
+    std::vector<std::uint64_t> windowRetries; ///< per 200-cycle window
+    std::vector<std::streamoff> traceLen; ///< bytes emitted, per cycle
+    std::string trace;
+};
+
+/**
+ * One faulted link through lock losses, a BER floor, a DVS
+ * up-then-down transition, a gate-off/wake with its settle step and a
+ * scripted kill. The sender only works in the first 600 cycles of
+ * every 1000, and the controller acts in the idle rest, so phase
+ * ends and the wake-settle power step fall on cycles only the
+ * receiver touches the link. Power snapshots every 500 cycles read
+ * the ledger the way Network::advancePendingPower does: advance the
+ * link first if its row is pending. The trace length after every
+ * cycle and the retries of every 200-cycle DVS window pin *when* the
+ * walk ran, not only what it produced.
+ */
+TwinResult
+runTwin(Poll poll)
+{
+    FaultParams fp;
+    fp.enabled = true;
+    fp.seed = 31;
+    fp.berFloor = 1e-3;
+    fp.lockLossPerCycle = 1e-3;
+    fp.killLink = 0;
+    fp.killCycle = 8300;
+    OpticalLink::Params lp;
+    lp.initialLevel = 2;
+    lp.propagationCycles = 3;
+
+    BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
+    OpticalLink link("twin", LinkKind::kInterRouter, levels, lp, ledger);
+    FaultInjector injector(fp, 1);
+    std::ostringstream os;
+    TwinResult r;
+    {
+        JsonlTraceSink sink(os);
+        link.setTrace(&sink, 0);
+        link.setFault(&injector, 0);
+        int sent = 0;
+        auto record = [&](const Flit &f, Cycle now) {
+            r.pops.emplace_back(f.seq, now);
+        };
+        for (Cycle now = 0; now < 9000; now++) {
+            bool idle = now % 1000 >= 600;
+            if (!idle && link.canAccept(now)) {
+                Flit f;
+                f.seq = static_cast<std::uint16_t>(sent++);
+                link.accept(now, f);
+            }
+            auto act = [&](Cycle at, auto &&fn) {
+                if (now == at && !link.transitionInProgress(now))
+                    fn();
+            };
+            act(1650, [&] { link.requestLevel(now, 4); });
+            act(3650, [&] { link.requestLevel(now, 1); });
+            act(5650, [&] { link.setOff(now, true); });
+            if (now == 5800)
+                link.setOff(now, false);
+
+            switch (poll) {
+              case Poll::kWalkEveryCycle:
+                while (link.hasArrival(now))
+                    record(link.popArrival(now), now);
+                break;
+              case Poll::kDrainEveryCycle:
+                link.drainArrivalsDue(
+                    now, [&](const Flit &f) { record(f, now); });
+                break;
+              case Poll::kDrainWhenDue:
+                if (link.nextReceiverEventCycle() <= now) {
+                    link.drainArrivalsDue(
+                        now, [&](const Flit &f) { record(f, now); });
+                }
+                break;
+            }
+            if (now % 500 == 0 && ledger.isPending(0))
+                r.integrals.push_back(link.powerIntegralMwCycles(now));
+            if (now % 200 == 199) {
+                r.windowRetries.push_back(link.windowRetries());
+                link.beginWindow(now);
+            }
+            r.traceLen.push_back(os.tellp());
+        }
+        r.integrals.push_back(link.powerIntegralMwCycles(9000));
+        link.setTrace(nullptr, kInvalid);
+    }
+    r.trace = os.str();
+    r.counters = {link.flitsCorrupted(),     link.flitRetries(),
+                  link.lockLossEvents(),     link.flitsDroppedOnFail(),
+                  link.windowRetries(),      link.numTransitions(),
+                  link.totalFlits(),
+                  link.isFailed() ? 1u : 0u};
+    return r;
+}
+
+} // namespace
+
+TEST(FaultHorizon, SkippedPollsMatchEveryCycleWalk)
+{
+    TwinResult ref = runTwin(Poll::kWalkEveryCycle);
+    // The scenario reaches every fault path it is meant to.
+    ASSERT_GT(ref.counters[0], 0u) << "no corruption";
+    ASSERT_GT(ref.counters[2], 0u) << "no lock loss";
+    ASSERT_GT(ref.counters[3], 0u) << "kill dropped nothing in flight";
+    ASSERT_EQ(ref.counters[7], 1u) << "scripted kill missing";
+    for (const char *kind : {"\"kind\": \"level\"", "\"kind\": \"off\"",
+                             "\"kind\": \"wake\"", "\"lock_loss\"",
+                             "\"retry\"", "\"hard_fail\""})
+        ASSERT_NE(ref.trace.find(kind), std::string::npos) << kind;
+
+    for (Poll poll : {Poll::kDrainEveryCycle, Poll::kDrainWhenDue}) {
+        TwinResult got = runTwin(poll);
+        EXPECT_EQ(got.pops, ref.pops);
+        EXPECT_EQ(got.counters, ref.counters);
+        EXPECT_EQ(got.trace, ref.trace);
+        EXPECT_EQ(got.traceLen, ref.traceLen);
+        EXPECT_EQ(got.windowRetries, ref.windowRetries);
+        // Bitwise: the folds land at the same stamps in the same order.
+        EXPECT_EQ(got.integrals, ref.integrals);
+    }
 }

@@ -23,12 +23,15 @@
  */
 #include <bit>
 #include <cstdint>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
 #include "core/poe_system.hh"
 #include "fault/fault_injector.hh"
+#include "trace/trace_sinks.hh"
 
 using namespace oenet;
 
@@ -130,36 +133,65 @@ struct HashSink final : public TraceSink
     }
 };
 
+/** The golden protocol: warm-up, measurement, drain, with @p sink
+ *  attached (snapshots every @p metrics_interval cycles). */
+RunMetrics
+driveGolden(const SystemConfig &cfg, double rate, std::uint64_t seed,
+            TraceSink &sink, Cycle metrics_interval)
+{
+    PoeSystem sys(cfg);
+    sys.setTraceSink(&sink, metrics_interval);
+    sys.setTraffic(makeTraffic(TrafficSpec::uniform(rate, 4, seed), cfg));
+    sys.run(1000);
+    sys.startMeasurement();
+    sys.run(3000);
+    sys.stopMeasurement();
+    sys.setTraffic(nullptr);
+    sys.awaitDrain(20000);
+    RunMetrics m = sys.metrics();
+    sys.setTraceSink(nullptr);
+    return m;
+}
+
 std::uint64_t
 fingerprintRun(const SystemConfig &cfg, double rate, std::uint64_t seed,
                Cycle metrics_interval = 500)
 {
     HashSink sink;
-    {
-        PoeSystem sys(cfg);
-        sys.setTraceSink(&sink, metrics_interval);
-        sys.setTraffic(makeTraffic(TrafficSpec::uniform(rate, 4, seed),
-                                   cfg));
-        sys.run(1000);
-        sys.startMeasurement();
-        sys.run(3000);
-        sys.stopMeasurement();
-        sys.setTraffic(nullptr);
-        sys.awaitDrain(20000);
-        RunMetrics m = sys.metrics();
-        sink.mixD(m.avgLatency);
-        sink.mixD(m.p95Latency);
-        sink.mixD(m.avgPowerMw);
-        sink.mixD(m.normalizedPower);
-        sink.mixD(m.throughputFlitsPerCycle);
-        sink.mix(m.packetsInjected);
-        sink.mix(m.packetsEjected);
-        sink.mix(m.transitions);
-        sink.mix(m.flitsDroppedDeadPort);
-        sink.mix(m.poisonedWormholes);
-        sys.setTraceSink(nullptr);
-    }
+    RunMetrics m = driveGolden(cfg, rate, seed, sink, metrics_interval);
+    sink.mixD(m.avgLatency);
+    sink.mixD(m.p95Latency);
+    sink.mixD(m.avgPowerMw);
+    sink.mixD(m.normalizedPower);
+    sink.mixD(m.throughputFlitsPerCycle);
+    sink.mix(m.packetsInjected);
+    sink.mix(m.packetsEjected);
+    sink.mix(m.transitions);
+    sink.mix(m.flitsDroppedDeadPort);
+    sink.mix(m.poisonedWormholes);
     return sink.h;
+}
+
+/** 4x4x2 west-first with every scheduled fault kind at once: CDR lock
+ *  losses and a BER floor keep links changing power between calls,
+ *  and a mid-run kill of inter-router link 70 reroutes traffic. */
+SystemConfig
+lockLossBerAndKill()
+{
+    SystemConfig fk;
+    fk.meshX = 4;
+    fk.meshY = 4;
+    fk.clusterSize = 2;
+    fk.routing = RoutingAlgo::kWestFirst;
+    fk.windowCycles = 200;
+    fk.fault.enabled = true;
+    fk.fault.seed = 99;
+    fk.fault.lockLossPerCycle = 2e-4;
+    fk.fault.berFloor = 1e-4;
+    fk.fault.killLink = 70;
+    fk.fault.killCycle = 2500;
+    fk.fault.orphanTimeoutCycles = 300;
+    return fk;
 }
 
 } // namespace
@@ -200,24 +232,60 @@ TEST(GoldenMesh, FaultRerouteMatchesPreRedesignBytes)
 
 TEST(GoldenMesh, LockLossBerAndKillMatchPreLedgerBytes)
 {
-    // Every scheduled fault kind at once: CDR lock losses and a BER
-    // floor keep links changing power between calls, and a mid-run
-    // kill reroutes traffic. The power snapshots every 250 cycles pin
-    // which links each snapshot advances, and in which order, so a
-    // fault-attached link the power accounting forgot to bring current
-    // permutes the fault events in the stream.
-    SystemConfig fk;
-    fk.meshX = 4;
-    fk.meshY = 4;
-    fk.clusterSize = 2;
-    fk.routing = RoutingAlgo::kWestFirst;
-    fk.windowCycles = 200;
-    fk.fault.enabled = true;
-    fk.fault.seed = 99;
-    fk.fault.lockLossPerCycle = 2e-4;
-    fk.fault.berFloor = 1e-4;
-    fk.fault.killLink = 70;
-    fk.fault.killCycle = 2500;
-    fk.fault.orphanTimeoutCycles = 300;
-    EXPECT_EQ(fingerprintRun(fk, 0.8, 13, 250), 0x4243f4255decc0ceull);
+    // The power snapshots every 250 cycles pin which links each
+    // snapshot advances, and in which order, so a fault-attached link
+    // the power accounting forgot to bring current permutes the fault
+    // events in the stream.
+    EXPECT_EQ(fingerprintRun(lockLossBerAndKill(), 0.8, 13, 250),
+              0x4243f4255decc0ceull);
+}
+
+TEST(GoldenMesh, LockLossBerAndKillJsonlTextMatchesRecordedBytes)
+{
+    // The same run through the real JSONL writer: HashSink hashes
+    // event fields, so only this case pins the text of the fault,
+    // transition, dvs, packet and power lines.
+    std::ostringstream os;
+    {
+        JsonlTraceSink sink(os);
+        driveGolden(lockLossBerAndKill(), 0.8, 13, sink, 250);
+    }
+    const std::string text = os.str();
+    std::uint64_t h = 1469598103934665603ull;
+    for (char c : text) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    EXPECT_EQ(text.size(), 3526272u);
+    EXPECT_EQ(h, 0xe147f8d57c5fc9f2ull);
+}
+
+TEST(GoldenMesh, VcselLockLossAndBerMatchRecordedBytes)
+{
+    // A VCSEL link's received power follows its supply voltage, so its
+    // flit corruption probability changes with every DVS level (and,
+    // while the voltage ramps up ahead of a frequency increase, is
+    // still the old level's). The measured level table scales vdd
+    // faster than the bit rate, giving each level its own margin, and
+    // berScale lifts the margin-derived BER (4.4e-4 at the lowest
+    // level, 1e-6 at the highest) well above the floor.
+    SystemConfig vc;
+    vc.meshX = 4;
+    vc.meshY = 4;
+    vc.clusterSize = 2;
+    vc.routing = RoutingAlgo::kWestFirst;
+    vc.windowCycles = 200;
+    vc.scheme = LinkScheme::kVcsel;
+    vc.measuredLevels = BitrateLevelTable({{5.0, 0.81},
+                                           {6.0, 1.0},
+                                           {7.0, 1.2},
+                                           {8.0, 1.4},
+                                           {9.0, 1.6},
+                                           {10.0, 1.8}});
+    vc.fault.enabled = true;
+    vc.fault.seed = 41;
+    vc.fault.berScale = 1e9;
+    vc.fault.berFloor = 1e-5;
+    vc.fault.lockLossPerCycle = 2e-4;
+    EXPECT_EQ(fingerprintRun(vc, 0.8, 17, 250), 0xe4f9ec8f371fd7cdull);
 }

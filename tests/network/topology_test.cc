@@ -100,16 +100,18 @@ TEST(Topology, EveryRouterPortConnectedAtMostOnce)
     MeshTopology m(8, 8, 8);
     std::set<std::pair<int, int>> in_ports, out_ports;
     for (const auto &s : m.enumerateLinks()) {
-        if (s.dstRouter != kInvalid)
+        if (s.dstRouter != kInvalid) {
             EXPECT_TRUE(
                 in_ports.insert({s.dstRouter, s.dstPort.value()})
                     .second)
                 << s.name;
-        if (s.srcRouter != kInvalid)
+        }
+        if (s.srcRouter != kInvalid) {
             EXPECT_TRUE(
                 out_ports.insert({s.srcRouter, s.srcPort.value()})
                     .second)
                 << s.name;
+        }
     }
 }
 
@@ -377,8 +379,9 @@ checkPartition(const Topology &topo, int n_shards)
         lo = std::min(lo, p);
         hi = std::max(hi, p);
     }
-    if (n_shards <= topo.numRouters())
+    if (n_shards <= topo.numRouters()) {
         EXPECT_LE(hi - lo, 1) << "unbalanced partition";
+    }
     // Pure function of (topology, n_shards).
     EXPECT_EQ(topo.partition(n_shards), map);
 }

@@ -122,9 +122,11 @@ TEST_F(RouterPipelineTest, RoutesToLocalEjectionPort)
     // Node 1 lives in rack 0 at local index 1.
     drive(60, packet(1, 1, 4), 2, 0, &out);
     ASSERT_EQ(out[1].size(), 4u);
-    for (int q = 0; q < kPorts; q++)
-        if (q != 1)
+    for (int q = 0; q < kPorts; q++) {
+        if (q != 1) {
             EXPECT_TRUE(out[q].empty()) << "port " << q;
+        }
+    }
 }
 
 TEST_F(RouterPipelineTest, RoutesEastByXy)

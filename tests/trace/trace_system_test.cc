@@ -154,16 +154,19 @@ TEST(TraceSystem, ReattachReplacesTheSnapshotHook)
     // sink — and re-attaching with snapshots disabled (interval 0)
     // didn't disable anything.
     SystemConfig cfg = smallConfig();
+    // Every sink outlives the system: its destructor ends the run on
+    // the one still attached.
+    RecordingTraceSink first;
+    RecordingTraceSink second;
+    RecordingTraceSink third;
     PoeSystem sys(cfg);
 
-    RecordingTraceSink first;
     sys.setTraceSink(&first, 250);
     sys.run(1000);
     std::size_t firstCount = first.snapshots().size();
     EXPECT_GE(firstCount, 3u);
 
     // Re-attach at a coarser cadence: only the new interval fires.
-    RecordingTraceSink second;
     sys.setTraceSink(&second, 1000);
     sys.run(3000); // now 1000 -> 4000: hook due at 2000 and 3000
     EXPECT_EQ(first.snapshots().size(), firstCount);
@@ -172,7 +175,6 @@ TEST(TraceSystem, ReattachReplacesTheSnapshotHook)
         EXPECT_EQ(e.at % 1000, 0u) << "stale 250-cycle hook fired";
 
     // Re-attach with snapshots disabled: nothing may fire at all.
-    RecordingTraceSink third;
     sys.setTraceSink(&third, 0);
     sys.run(2000);
     EXPECT_EQ(third.snapshots().size(), 0u);
