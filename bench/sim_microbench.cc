@@ -17,6 +17,8 @@
  * BM_PowerAccountingLedger times one epoch's power accounting pass
  * over the SoA ledger at 16x16. BM_Mesh32CycleLight and BM_KernelWakePark track the large-fabric
  * scheduling cost (kernel wake/park and input polling).
+ * BM_BoundaryDelivery times one flit and its credit through a boundary
+ * channel's stage/publish/drain cycle.
  */
 
 #include <benchmark/benchmark.h>
@@ -286,17 +288,14 @@ BM_LoadedRouterTick(benchmark::State &state)
 }
 BENCHMARK(BM_LoadedRouterTick);
 
-// The boundary-proxy mechanism over a 4-cycle window carrying one
-// delivery — roughly a boundary edge's duty cycle in the loaded fig7
-// runs. The generic (cross-shard) variant pays the per-cycle edge
-// machinery every cycle whether or not anything moved: dirty probe,
-// publish flip, delivery-edge probe, ready-drain check, credit drain.
-// The direct (same-shard) variant is the zero-copy specialization:
-// idle cycles cost nothing because the edge is excluded from the
-// per-cycle cross-shard passes entirely; only the delivery itself does
-// work. Their ratio is the proxy tax the fast path reclaims, asserted
-// machine-independently in CI via perf_compare.py --expect-ratio.
-constexpr int kDrainWindow = 4; // cycles per delivery
+// One delivery through a BoundaryChannel over a 4-cycle window,
+// roughly a channel's duty cycle in the loaded fig7 runs. The source
+// router's walk stages a flit (listing the channel), the post-pass
+// publishes it (an index flip and the destination's wake), the
+// destination drains it and returns a credit, and the next post-pass
+// forwards the credit upstream. The other two cycles of the window
+// cost nothing: a channel nobody staged into is never visited.
+constexpr Cycle kDeliveryWindow = 4; // cycles per delivery
 
 struct NullCreditSink final : CreditSink
 {
@@ -304,66 +303,43 @@ struct NullCreditSink final : CreditSink
     void returnCredit(int, int, Cycle) override { count++; }
 };
 
-void
-BM_BoundaryDrainGeneric(benchmark::State &state)
+struct NullTicking final : Ticking
 {
-    BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
-    LinkPowerLedger ledger(1);
-    OpticalLink link("bnd", LinkKind::kInterRouter, levels,
-                     OpticalLink::Params{}, ledger);
-    NullCreditSink upstream;
-    BoundaryChannel chan(&link, &upstream, 0);
-    Flit f;
-    f.flags = Flit::kHeadFlag | Flit::kTailFlag;
-    for (auto _ : state) {
-        for (int c = 0; c < kDrainWindow; c++) {
-            // Parallel phase, producer side: one delivery per window.
-            if (c == 0)
-                chan.stageArrival(f);
-            // Between phases, driving thread: swap pass probes every
-            // cross-shard edge.
-            if (chan.dirty())
-                chan.swapBuffers();
-            // Destination pre-pass: delivery wake probe, every cycle.
-            benchmark::DoNotOptimize(chan.takeDeliveryEdge());
-            // Parallel phase, consumer side: drain and stage credits.
-            while (chan.hasReadyArrival()) {
-                const Flit &got = chan.popReadyArrival();
-                chan.returnCredit(0, got.vc, 1);
-            }
-            // Source pre-pass: collect published credits, every cycle.
-            chan.drainCredits();
-        }
-        benchmark::DoNotOptimize(upstream.count);
-    }
-}
-BENCHMARK(BM_BoundaryDrainGeneric);
+    void tick(Cycle) override {}
+};
 
 void
-BM_BoundaryDrainDirect(benchmark::State &state)
+BM_BoundaryDelivery(benchmark::State &state)
 {
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
     LinkPowerLedger ledger(1);
     OpticalLink link("bnd", LinkKind::kInterRouter, levels,
                      OpticalLink::Params{}, ledger);
     NullCreditSink upstream;
-    BoundaryChannel chan(&link, &upstream, 0);
-    chan.setDirect();
+    NullTicking dst;
+    BoundaryChannel::PublishList list;
+    BoundaryChannel chan(&link, &upstream, 0, &dst, &list, &list);
+    auto publish = [&list](Cycle now) {
+        for (BoundaryChannel *c : list)
+            c->publish(now);
+        list.clear();
+    };
     Flit f;
     f.flags = Flit::kHeadFlag | Flit::kTailFlag;
+    Cycle now = 0;
     for (auto _ : state) {
-        // One delivery per window; the other cycles are free (the edge
-        // is not in the cross-shard pre/post passes, and the consumer
-        // router only ticks when the shuttle wakes it).
-        chan.stageArrival(f); // publishes immediately
+        chan.stageArrival(f); // walk at t
+        publish(now);         // post-pass at t
         while (chan.hasReadyArrival()) {
-            const Flit &got = chan.popReadyArrival();
-            chan.returnCredit(0, got.vc, 1); // forwards synchronously
+            const Flit &got = chan.popReadyArrival(); // drain at t+1
+            chan.returnCredit(0, got.vc, now + 1);
         }
+        publish(now + 1); // post-pass at t+1
+        now += kDeliveryWindow;
         benchmark::DoNotOptimize(upstream.count);
     }
 }
-BENCHMARK(BM_BoundaryDrainDirect);
+BENCHMARK(BM_BoundaryDelivery);
 
 // One epoch's accounting pass through the LinkPowerLedger's flat
 // columns: a 16x16x8 fabric (~5k links) with leakage + thermal on, so

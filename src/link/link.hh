@@ -76,6 +76,30 @@ const char *linkKindName(LinkKind kind);
 
 class OpticalLink
 {
+    enum class Phase
+    {
+        kStable,
+        kVoltRampUp,  ///< voltage rising ahead of a frequency increase
+        kFreqSwitch,  ///< CDR relock; link disabled
+        kVoltRampDown, ///< voltage falling after a frequency decrease
+        kOff           ///< power-gated (on/off policy extension)
+    };
+
+    // Hot state, declared first so that the receiver walk's per-tick
+    // due check (nextReceiverEventCycle, isFailed) and canAccept's fast
+    // path read the head of the object instead of lines strewn across
+    // its 1.3 kB. faultHorizon_ caches the earliest scheduled fault not
+    // yet processed (syncFaultHorizon); nothing is due before it, so
+    // polls and canAccept skip the fault walk until then.
+    Phase phase_ = Phase::kStable;
+    bool failed_ = false;
+    int inflightHead_ = 0;
+    int inflightCount_ = 0;
+    Cycle phaseEnd_ = 0;
+    Cycle faultHorizon_ = kNeverCycle;
+    FaultInjector *faults_ = nullptr;
+    double nextFree_ = 0.0; ///< earliest cycle the transmitter is free
+
   public:
     struct Params
     {
@@ -219,11 +243,12 @@ class OpticalLink
 
     /**
      * Wake the receiver @p lead cycles *before* each event instead of
-     * at it. A boundary shuttle receives on behalf of a router in
-     * another shard and must forward a flit one cycle ahead of its
-     * arrival so the phase-separated handoff delivers it on time
-     * (its tick at t polls hasArrival(t+1)); everything else keeps the
-     * default lead of 0. Wake cycles never go below the event's
+     * at it. A channeled link's receiver is its source router, which
+     * walks the link on behalf of the destination and must stage a
+     * flit one cycle ahead of its arrival so the phase-separated
+     * handoff delivers it on time (its walk at t drains arrivals due
+     * by t+1; Router::connectOutputBoundary); everything else keeps
+     * the default lead of 0. Wake cycles never go below the event's
      * request cycle minus the lead, floored at 0.
      */
     void setReceiverWakeLead(Cycle lead) { receiverWakeLead_ = lead; }
@@ -426,15 +451,6 @@ class OpticalLink
      *  phase (fault-attached links only; see the definition). */
     void armReceiverTransitionWake();
 
-    enum class Phase
-    {
-        kStable,
-        kVoltRampUp,  ///< voltage rising ahead of a frequency increase
-        kFreqSwitch,  ///< CDR relock; link disabled
-        kVoltRampDown, ///< voltage falling after a frequency decrease
-        kOff           ///< power-gated (on/off policy extension)
-    };
-
     /** Walk the transition state machine up to @p now (processing any
      *  scheduled faults first, at their exact cycles). */
     void advance(Cycle now);
@@ -468,9 +484,7 @@ class OpticalLink
     Params params_;
     LinkPowerModel powerModel_;
 
-    // Transition state.
-    Phase phase_ = Phase::kStable;
-    Cycle phaseEnd_ = 0;
+    // Transition state (phase_ and phaseEnd_ are hot, above).
     int fromLevel_ = 0;
     int toLevel_ = 0;
     double opticalScale_ = 1.0;
@@ -490,15 +504,10 @@ class OpticalLink
     std::uint64_t *arrivalFlags_ = nullptr;
     std::uint64_t arrivalBit_ = 0;
 
-    // Faults / reliability. faultHorizon_ caches the earliest scheduled
-    // fault not yet processed (syncFaultHorizon); nothing is due before
-    // it, so polls and canAccept skip the fault walk until then.
-    // corruptProb_ memoizes flitCorruptProb() at the current operating
-    // point.
-    FaultInjector *faults_ = nullptr;
+    // Faults / reliability (faults_, failed_ and faultHorizon_ are
+    // hot, above). corruptProb_ memoizes flitCorruptProb() at the
+    // current operating point.
     int faultId_ = kInvalid;
-    bool failed_ = false;
-    Cycle faultHorizon_ = kNeverCycle;
     double corruptProb_ = 0.0;
     std::uint64_t flitsCorrupted_ = 0;
     std::uint64_t flitRetries_ = 0;
@@ -508,9 +517,9 @@ class OpticalLink
     std::uint64_t windowRetries_ = 0;
 
     // Serialization / in-flight flits (ring capacity kInflightCap,
-    // public above; power of two so the drain walk can mask).
+    // public above; power of two so the drain walk can mask). The
+    // ring's head, count and nextFree_ are hot, above.
     static_assert((kInflightCap & (kInflightCap - 1)) == 0);
-    double nextFree_ = 0.0; ///< earliest cycle the transmitter is free
     struct InFlight
     {
         Flit flit;
@@ -519,8 +528,6 @@ class OpticalLink
         bool corrupt = false;
     };
     InFlight inflight_[kInflightCap];
-    int inflightHead_ = 0;
-    int inflightCount_ = 0;
     Cycle lastArrival_ = 0;
 
     // Accounting. Power, its integral and the flit counters live in

@@ -5,26 +5,26 @@
 namespace oenet {
 
 void
-BoundaryChannel::swapBuffers()
+BoundaryChannel::publish(Cycle now)
 {
-    if (head_ != readyEnd_)
-        panic("BoundaryChannel %s: %u ready flits not drained "
-              "(missing delivery wake?)",
-              link_->name().c_str(), readyEnd_ - head_);
-    if (credHead_ != credReadyEnd_)
-        panic("BoundaryChannel %s: %u ready credits not drained",
-              link_->name().c_str(), credReadyEnd_ - credHead_);
-    publishedHead_ = head_;
-    publishedCredHead_ = credHead_;
-    readyEnd_ = pendEnd_;
-    credReadyEnd_ = credPendEnd_;
-    if (pendingFailed_) {
-        pendingFailed_ = false;
-        failed_ = true;
-        failEdge_ = true;
+    if (arrivalsListed_) {
+        arrivalsListed_ = false;
+        if (head_ != readyEnd_)
+            panic("BoundaryChannel %s: %u ready flits not drained "
+                  "(missing delivery wake?)",
+                  link_->name().c_str(), readyEnd_ - head_);
+        publishedHead_ = head_;
+        readyEnd_ = pendEnd_;
+        failed_ = failStaged_;
+        dst_->wakeAt(now + 1);
     }
-    arrivalsDirty_ = false;
-    creditsDirty_ = false;
+    if (creditsListed_) {
+        creditsListed_ = false;
+        while (credHead_ != credPendEnd_) {
+            const StagedCredit &c = credits_[credHead_++ & kCreditMask];
+            upstream_->returnCredit(srcPort_, c.vc, c.at);
+        }
+    }
 }
 
 } // namespace oenet

@@ -2,70 +2,72 @@
  * @file
  * Deterministic boundary exchange for the sharded kernel.
  *
- * A proxied inter-router link is received through a two-piece proxy
- * instead of the destination router polling the link directly:
+ * A channeled inter-router link is read by its destination router
+ * through a BoundaryChannel instead of by polling the link directly:
  *
- *   LinkShuttle       a Ticking in the *source* router's shard. Its
- *                     tick at cycle t pops every flit the link delivers
- *                     by t+1 and stages it into the channel — one cycle
- *                     ahead of arrival, which is exactly the phase
- *                     headroom the handoff needs (the link wakes it
- *                     with a one-cycle lead; see setReceiverWakeLead).
+ *   source router     the link's registered receiver. As the last step
+ *                     of its tick at cycle t it runs the link's
+ *                     receiver walk, popping every flit the link
+ *                     delivers by t+1, and stages each one into the
+ *                     channel: one cycle ahead of arrival, which is
+ *                     the phase headroom the handoff needs (the link
+ *                     wakes the router with a one-cycle lead; see
+ *                     Router::connectOutputBoundary).
  *   BoundaryChannel   a phase-separated SPSC mailbox backed by
- *                     fixed-capacity ring slabs. The shuttle writes the
+ *                     fixed-capacity ring slabs. The walk writes the
  *                     pending region during the parallel phase; the
  *                     driving thread publishes pending -> ready between
  *                     phases by advancing one index (no buffer copy or
- *                     allocation); the destination router drains the
- *                     ready region — at the flit's true arrival cycle —
- *                     during the next parallel phase. Credits ride a
- *                     second ring in the other direction.
+ *                     allocation) and wakes the destination router for
+ *                     the next cycle, in which it drains the ready
+ *                     region at the flits' true arrival cycle. Credits
+ *                     ride a second ring in the other direction and are
+ *                     forwarded by the same publish.
  *
- * No payload atomics anywhere: the producer and consumer touch
- * disjoint index ranges in any given phase, and the kernel's phase
- * barrier supplies the happens-before edge across the publish. Each
- * side bounds its ring against its own copy of the other side's head,
+ * No payload atomics anywhere: producer and consumer touch disjoint
+ * index ranges in any given phase, and the kernel's phase barrier
+ * supplies the happens-before edge across the publish. The producer
+ * bounds the arrival ring against its copy of the consumer's head,
  * refreshed by the publish, never against the live index the other
- * shard is advancing.
+ * shard is advancing. Each side appends the channel to its own shard's
+ * publish list the first time it stages in a cycle, so the publish
+ * visits only channels that carry something.
  *
- * Which links are proxied (Network's constructor decides):
+ * Which links are channeled (Network's constructor decides):
  *
  *  - A link whose endpoints sit in different shards always is: the
  *    destination shard may not touch link state the source shard
  *    mutates.
  *  - With a fault model attached (Network::Params::faults) every
- *    inter-router link is, at every shard count. The receiver's poll
- *    then walks the link's reliability layer — CRC replays, RNG draws,
- *    retry counters, fault and transition trace events — and the
- *    shuttle's poll of hasArrival(now + 1) after every router has
- *    ticked is what fixes the cycles and order of that walk. A proxied
- *    link whose endpoints share a shard runs the channel in **direct
- *    mode** (setDirect): staged flits are published immediately (the
- *    destination router ticks before the shuttle within a cycle, so it
- *    cannot observe them early), credits forward synchronously (they
- *    are time-stamped, so application timing is unchanged), and the
- *    per-cycle swap/drain hooks skip the edge entirely.
- *  - Otherwise — a fault-free link inside one shard, i.e. every link
- *    of a default --shards 1 run — the link is **proxy-free**: the
+ *    inter-router link is, at every shard count. The receiver walk then
+ *    runs the link's reliability layer (CRC replays, RNG draws, retry
+ *    counters, fault and transition trace events), and running it at
+ *    the end of the source router's tick, after that cycle's last
+ *    sender touch, fixes the cycles and per-link order of that walk.
+ *  - Otherwise (a fault-free link inside one shard, i.e. every link of
+ *    a default --shards 1 run) the link is **proxy-free**: the
  *    destination router polls it directly, as it polls an injection
  *    link. Without a fault model the poll is a pure ring walk with no
  *    side effects, so who performs it and when is unobservable; the
  *    flit still lands at its arrival cycle and the credit still applies
  *    one cycle after its return.
  *
- * The call sequence seen by the link, the routers, and the RNG streams
- * is byte-for-byte identical across all three; see DESIGN.md section
+ * Every channel, same-shard or cross-shard, publishes in the same one
+ * step, so the call sequence seen by the link, the routers, and the
+ * RNG streams is identical at every shard count; see DESIGN.md section
  * 11 and docs/DETERMINISM.md section 5.
  *
- * Delivery timing is unchanged from a direct receiver in either mode:
- * a flit accepted at t with arrival t+k is staged at t+k-1 and drained
- * at t+k; a credit returned at t applies at t+1.
+ * Delivery timing is unchanged from a direct receiver: a flit accepted
+ * at t with arrival t+k is staged at t+k-1 and drained at t+k; a
+ * credit returned at t applies at t+1; a hard failure discovered by
+ * the walk at t is observed by the destination from t+1.
  */
 
 #ifndef OENET_NETWORK_BOUNDARY_HH
 #define OENET_NETWORK_BOUNDARY_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
@@ -77,74 +79,66 @@
 namespace oenet {
 
 /**
- * Phase-separated SPSC mailbox between one inter-router link's shuttle
- * (producer, source shard) and its destination router (consumer,
- * destination shard). Also carries the reverse credit stream, with the
- * roles swapped. All methods are phase-bound — see each one's comment
- * for which thread may call it when; none of them synchronize.
+ * Phase-separated SPSC mailbox between one channeled inter-router
+ * link's receiver walk (producer: the source router, in its shard) and
+ * the destination router (consumer, in its shard). Also carries the
+ * reverse credit stream, with the roles swapped. All methods are
+ * phase-bound (see each one's comment for which thread may call it
+ * when); none of them synchronize.
  *
  * Storage is two fixed ring slabs addressed by monotonically
- * increasing indices masked on access: head <= readyEnd <= pendEnd.
- * Staging writes slab[pendEnd++ & mask]; publishing is readyEnd =
- * pendEnd; draining reads slab[head++ & mask]. Capacities are hard
- * bounds from the protocol (the link's in-flight ring caps arrivals
- * per cycle; switch allocation returns at most one credit per input
- * port per cycle), so overflow is a bug and panics. In cross-shard
- * mode the overflow checks use the head as of the last publish, which
- * never runs ahead of the live head, so they are at least as strict.
+ * increasing indices masked on access. Arrivals keep head <= readyEnd
+ * <= pendEnd: staging writes slab[pendEnd++ & mask]; publishing is
+ * readyEnd = pendEnd; draining reads slab[head++ & mask]. Credits are
+ * staged the same way and forwarded in full by the publish.
+ * Capacities are hard bounds from the protocol (the link's in-flight
+ * ring caps arrivals per cycle; switch allocation returns at most one
+ * credit per input port per cycle), so overflow is a bug and panics.
+ * The arrival check uses the head as of the last publish, which never
+ * runs ahead of the live head, so it is at least as strict.
  */
 class BoundaryChannel final : public CreditSink
 {
   public:
-    /** @param upstream the source router (credit sink) and
-     *  @param src_port its output port feeding the link. */
-    BoundaryChannel(OpticalLink *link, CreditSink *upstream, int src_port)
-        : link_(link), upstream_(upstream), srcPort_(src_port)
-    {
-    }
+    /** A shard's publish list: the channels its thread staged into
+     *  this cycle, each listed at most once per side. */
+    using PublishList = std::vector<BoundaryChannel *>;
 
     /**
-     * Switch to direct (same-shard) mode: stageArrival/stageFailure
-     * publish immediately and returnCredit forwards synchronously, so
-     * the channel needs no per-cycle swap or drain. Only legal when
-     * producer and consumer run on the same thread (the shuttle ticks
-     * after the destination router, the upstream router's credit
-     * application is stamped) — Network's constructor sets it for
-     * every proxied edge whose endpoints share a shard. Configuration-
-     * time only, before the first cycle.
+     * @param upstream the source router (credit sink) and
+     * @param src_port its output port feeding the link;
+     * @param dst the destination router, woken for each delivery;
+     * @param src_list / @p dst_list the publish lists of the source
+     *        and destination routers' shards.
      */
-    void setDirect() { direct_ = true; }
-    bool direct() const { return direct_; }
+    BoundaryChannel(OpticalLink *link, CreditSink *upstream, int src_port,
+                    Ticking *dst, PublishList *src_list,
+                    PublishList *dst_list)
+        : link_(link), upstream_(upstream), dst_(dst), srcList_(src_list),
+          dstList_(dst_list), srcPort_(src_port)
+    {
+    }
 
     // --- producer side: source shard's thread, parallel phase ---
 
-    /** Stage a flit for delivery at the start of the next cycle
-     *  (published immediately in direct mode). */
+    /** Stage a flit for delivery at the start of the next cycle. */
     void stageArrival(const Flit &flit)
     {
-        std::uint32_t head = direct_ ? head_ : publishedHead_;
-        if (pendEnd_ - head >= kArrivalCap)
+        if (pendEnd_ - publishedHead_ >= kArrivalCap)
             panic("BoundaryChannel %s: arrival ring overflow",
                   link_->name().c_str());
         arrivals_[pendEnd_++ & kArrivalMask] = flit;
-        if (direct_)
-            readyEnd_ = pendEnd_;
-        else
-            arrivalsDirty_ = true;
+        listArrivals();
     }
 
-    /** Stage the link's hard failure (staged once, by the shuttle). */
+    /** Stage the link's hard failure; every call after the first is a
+     *  no-op, so the walk may report a dead link on every tick. */
     void stageFailure()
     {
-        if (direct_) {
-            // The only reader (the destination router) ticked before
-            // the shuttle this cycle, so it first observes the flag
-            // next cycle — the same cycle the swap would publish it.
-            failed_ = true;
-        } else {
-            pendingFailed_ = true;
-            arrivalsDirty_ = true;
-        }
+        if (failStaged_)
+            return;
+        failStaged_ = true;
+        listArrivals();
     }
 
     // --- consumer side: destination shard's thread, parallel phase ---
@@ -154,70 +148,39 @@ class BoundaryChannel final : public CreditSink
     /** Pop the oldest ready flit. @pre hasReadyArrival(). */
     const Flit &popReadyArrival() { return arrivals_[head_++ & kArrivalMask]; }
 
-    /** True once the link's hard failure has propagated (from the
-     *  exact cycle a direct receiver would observe it). */
+    /** True once the link's hard failure has been published (from the
+     *  cycle after the walk discovered it, as for a direct receiver). */
     bool failed() const { return failed_; }
 
     /** CreditSink: the destination router frees a buffer slot at
-     *  @p now; the credit reaches the source router next cycle's
-     *  pre-pass (synchronously in direct mode — either way it is
-     *  stamped @p now and applies at now+1, as with a direct call). */
+     *  @p now; the publish forwards the credit to the source router
+     *  stamped @p now, so it applies at now+1 as with a direct call. */
     void returnCredit(int port, int vc, Cycle now) override
     {
         (void)port;
-        if (direct_) {
-            upstream_->returnCredit(srcPort_, vc, now);
-            return;
-        }
-        if (credPendEnd_ - publishedCredHead_ >= kCreditCap)
+        if (credPendEnd_ - credHead_ >= kCreditCap)
             panic("BoundaryChannel %s: credit ring overflow",
                   link_->name().c_str());
         credits_[credPendEnd_++ & kCreditMask] = StagedCredit{vc, now};
-        creditsDirty_ = true;
-    }
-
-    // --- source shard's thread, pre-pass (cross-shard mode only) ---
-
-    /** Forward every ready credit to the source router, stamped with
-     *  its original return cycle (so it applies at that cycle + 1). */
-    void drainCredits()
-    {
-        while (credHead_ != credReadyEnd_) {
-            const StagedCredit &c = credits_[credHead_++ & kCreditMask];
-            upstream_->returnCredit(srcPort_, c.vc, c.at);
+        if (!creditsListed_) {
+            creditsListed_ = true;
+            dstList_->push_back(this);
         }
     }
 
-    // --- destination shard's thread, pre-pass (cross-shard mode only) ---
+    // --- driving thread, between phases ---
 
-    /** True if the ready side carries anything the destination router
-     *  must tick for (flits, or a just-propagated failure); clears the
-     *  failure edge. The caller wakes the router at the current
-     *  cycle. */
-    bool takeDeliveryEdge()
-    {
-        bool any = hasReadyArrival() || failEdge_;
-        failEdge_ = false;
-        return any;
-    }
-
-    // --- driving thread, between phases (cross-shard mode only) ---
-
-    /** True if the shuttle staged flits or a failure this cycle. */
-    bool arrivalsDirty() const { return arrivalsDirty_; }
-
-    /** True if the destination router staged credits this cycle. */
-    bool creditsDirty() const { return creditsDirty_; }
-
-    /** True if either side staged something this cycle. */
-    bool dirty() const { return arrivalsDirty_ || creditsDirty_; }
-
-    /** Publish the pending region: staged flits/credits/failure become
-     *  ready for the next cycle's consumers. An index flip, no copy;
-     *  also hands each producer the consumer's current head for its
-     *  overflow check. @pre the previous ready region was fully
-     *  drained (the pre-pass wake guarantees it). */
-    void swapBuffers();
+    /**
+     * Publish what either side staged at @p now: staged flits and a
+     * staged failure become visible and the destination router is
+     * woken for now+1; staged credits go to the source router with
+     * their original stamps. An index flip, no copy; also hands the
+     * producer the consumer's current head for its overflow check.
+     * A no-op for a side that staged nothing, so a channel listed by
+     * both sides may be published twice. @pre the previous ready
+     * region was fully drained (the publish's wake guarantees it).
+     */
+    void publish(Cycle now);
 
     // --- any thread between steps (driving thread) ---
 
@@ -234,11 +197,21 @@ class BoundaryChannel final : public CreditSink
         Cycle at; ///< cycle the destination router returned it
     };
 
-    // Ring capacities. Arrivals: the shuttle stages at most one link
+    /** Producer: list the channel for this cycle's publish. */
+    void listArrivals()
+    {
+        if (!arrivalsListed_) {
+            arrivalsListed_ = true;
+            srcList_->push_back(this);
+        }
+    }
+
+    // Ring capacities. Arrivals: the walk stages at most one link
     // ring's worth (kInflightCap) per tick and the ready region is
     // drained before the next publish, so 2 * kInflightCap bounds the
     // live range. Credits: switch allocation returns at most one
-    // credit per input port per cycle, so pending + ready <= 2.
+    // credit per input port per cycle and the publish forwards them
+    // all, so one slot would do.
     static constexpr std::uint32_t kArrivalCap = 32;
     static constexpr std::uint32_t kArrivalMask = kArrivalCap - 1;
     static constexpr std::uint32_t kCreditCap = 8;
@@ -250,87 +223,26 @@ class BoundaryChannel final : public CreditSink
 
     OpticalLink *link_;
     CreditSink *upstream_;
+    Ticking *dst_;
+    PublishList *srcList_;
+    PublishList *dstList_;
     int srcPort_;
-    bool direct_ = false;
 
-    // Flit direction (written by producer, drained by consumer).
-    // Monotonic indices, masked on access: head_ <= readyEnd_ <= pendEnd_.
-    Flit arrivals_[kArrivalCap];
+    // Indices and flags ahead of the slabs. Flits: monotonic,
+    // masked on access, head_ <= readyEnd_ <= pendEnd_.
     std::uint32_t head_ = 0;
     std::uint32_t readyEnd_ = 0;
     std::uint32_t pendEnd_ = 0;
     std::uint32_t publishedHead_ = 0; ///< producer's copy of head_
-    bool arrivalsDirty_ = false;
-    bool pendingFailed_ = false;
-
-    // Credit direction (written by consumer, drained by producer).
-    StagedCredit credits_[kCreditCap];
     std::uint32_t credHead_ = 0;
-    std::uint32_t credReadyEnd_ = 0;
     std::uint32_t credPendEnd_ = 0;
-    std::uint32_t publishedCredHead_ = 0; ///< dst router's copy of credHead_
-    bool creditsDirty_ = false;
+    bool arrivalsListed_ = false; ///< producer staged this cycle
+    bool creditsListed_ = false;  ///< consumer staged this cycle
+    bool failStaged_ = false;     ///< producer side of the failure
+    bool failed_ = false;         ///< published failure (consumer side)
 
-    // Failure propagation (published by swapBuffers; direct mode sets
-    // failed_ immediately — see stageFailure).
-    bool failed_ = false;
-    bool failEdge_ = false;
-};
-
-/**
- * The inter-router link's registered receiver: runs in the source
- * router's shard and ferries deliveries into the BoundaryChannel one
- * cycle before their arrival stamp. Polling arrivals due by now + 1
- * makes the shuttle a faithful image of a direct every-cycle receiver
- * shifted one cycle early, so the link's lazy fault/replay walk — and
- * every RNG draw and trace emission it performs — happens at the same
- * simulated cycles as it would for a direct receiver. Identical in
- * both channel modes; in direct mode the shuttle additionally issues
- * the destination router's delivery wake itself (a same-domain wake at
- * now + 1, the cycle the cross-shard pre-pass would have issued it).
- */
-class LinkShuttle final : public Ticking
-{
-  public:
-    LinkShuttle(OpticalLink *link, BoundaryChannel *channel)
-        : link_(link), channel_(channel)
-    {
-    }
-
-    /** Direct-mode wake target (the destination router); set together
-     *  with BoundaryChannel::setDirect. Configuration-time only. */
-    void setDirectDst(Ticking *dst) { directDst_ = dst; }
-
-    void tick(Cycle now) override
-    {
-        int staged = link_->drainArrivalsDue(
-            now + 1, [this](const Flit &f) { channel_->stageArrival(f); });
-        bool edge = staged > 0;
-        if (link_->isFailed() && !failStaged_) {
-            failStaged_ = true;
-            channel_->stageFailure();
-            edge = true;
-        }
-        if (edge && directDst_ != nullptr)
-            directDst_->wakeAt(now + 1);
-    }
-
-    Cycle nextWakeCycle(Cycle now) override
-    {
-        Cycle event = link_->nextReceiverEventCycle();
-        if (event == kNeverCycle)
-            return kNeverCycle;
-        // One cycle ahead of the event, matching the link's wake lead;
-        // everything due by now+1 was just drained, so this is always
-        // in the future.
-        return event > now + 1 ? event - 1 : now + 1;
-    }
-
-  private:
-    OpticalLink *link_;
-    BoundaryChannel *channel_;
-    Ticking *directDst_ = nullptr;
-    bool failStaged_ = false;
+    Flit arrivals_[kArrivalCap];
+    StagedCredit credits_[kCreditCap];
 };
 
 } // namespace oenet

@@ -27,10 +27,31 @@ Network::Network(Kernel &kernel, const Params &params)
 
     // The partition is a pure function of (topology, shards), so it is
     // known before any link is wired: it decides which inter-router
-    // links need the boundary proxy.
+    // links need a boundary channel.
     kernel.configureSharding(params.shards);
     shardOf_ = topo_->partition(params.shards);
     faultModel_ = params.faults;
+
+    // Tick order: routers, then nodes. Interactions are time-tagged,
+    // so this only pins determinism, not semantics. Components land in
+    // domain 1 + shard: routers by the partition map, nodes with their
+    // router (injection/ejection links never cross shards).
+    for (int r = 0; r < topo_->numRouters(); r++) {
+        Router *router = routers_[static_cast<std::size_t>(r)].get();
+        kernel.addTicking(router);
+        kernel.setDomain(router, 1 + shardOf_[static_cast<std::size_t>(r)]);
+    }
+    for (int n = 0; n < topo_->numNodes(); n++) {
+        Node *node = nodes_[static_cast<std::size_t>(n)].get();
+        kernel.addTicking(node);
+        kernel.setDomain(node, 1 + shardOf_[static_cast<std::size_t>(
+                                   topo_->routerOf(static_cast<NodeId>(n)))]);
+    }
+    // Receiver walks emit trace events under the tick orders that
+    // follow every router and node, one per channel in link order, so
+    // they sort after all component ticks (docs/DETERMINISM.md §4).
+    auto walk_order = static_cast<std::uint32_t>(kernel.tickingCount());
+    publish_.resize(static_cast<std::size_t>(params.shards));
 
     // Links. Each registers its row in the SoA power ledger in
     // enumeration order, so ledger ids equal link/trace ids.
@@ -66,11 +87,11 @@ Network::Network(Kernel &kernel, const Params &params)
                 spec.dstRouter)];
             src.connectOutput(spec.srcPort.value(), link.get(),
                               vc_depth);
-            int src_domain = 1 + shardOf_[static_cast<std::size_t>(
-                                     spec.srcRouter)];
-            int dst_domain = 1 + shardOf_[static_cast<std::size_t>(
-                                     spec.dstRouter)];
-            if (src_domain == dst_domain && !faultModel_) {
+            auto src_shard = static_cast<std::size_t>(
+                shardOf_[static_cast<std::size_t>(spec.srcRouter)]);
+            auto dst_shard = static_cast<std::size_t>(
+                shardOf_[static_cast<std::size_t>(spec.dstRouter)]);
+            if (src_shard == dst_shard && !faultModel_) {
                 // Proxy-free: without a fault model the receiver's poll
                 // has no side effects, so the destination router reads
                 // the link itself, like an injection link.
@@ -78,24 +99,17 @@ Network::Network(Kernel &kernel, const Params &params)
                                  spec.srcPort.value());
                 break;
             }
-            // A shard boundary, or a fault model whose receiver-side
-            // walk must run at the shuttle's cycles (boundary.hh).
+            // A shard boundary, or a fault model whose receiver walk
+            // must run in the source router (boundary.hh).
             auto chan = std::make_unique<BoundaryChannel>(
-                link.get(), &src, spec.srcPort.value());
-            auto shuttle = std::make_unique<LinkShuttle>(link.get(),
-                                                         chan.get());
-            link->setReceiver(shuttle.get());
-            link->setReceiverWakeLead(1);
+                link.get(), &src, spec.srcPort.value(), &dst,
+                &publish_[src_shard], &publish_[dst_shard]);
+            src.connectOutputBoundary(
+                spec.srcPort.value(), chan.get(),
+                walk_order + static_cast<std::uint32_t>(channels_.size()));
             dst.connectInputBoundary(spec.dstPort.value(), link.get(),
                                      chan.get(), spec.srcPort.value());
-            if (src_domain == dst_domain) {
-                chan->setDirect();
-                shuttle->setDirectDst(&dst);
-            }
-            edges_.push_back(BoundaryEdge{chan.get(), src_domain,
-                                          dst_domain, &dst});
             channels_.push_back(std::move(chan));
-            shuttles_.push_back(std::move(shuttle));
             break;
           }
         }
@@ -103,18 +117,18 @@ Network::Network(Kernel &kernel, const Params &params)
         links_.push_back(std::move(link));
     }
 
-    // Tick order: routers, nodes, then boundary shuttles (a shuttle
-    // runs after its destination router, which is what lets a direct
-    // channel publish immediately). Interactions are time-tagged, so
-    // this only pins determinism, not semantics.
-    for (auto &r : routers_)
-        kernel.addTicking(r.get());
-    for (auto &n : nodes_)
-        kernel.addTicking(n.get());
-    for (auto &s : shuttles_)
-        kernel.addTicking(s.get());
-
-    installShardHooks(kernel);
+    // Post-pass (driving thread, after the barrier): publish what each
+    // shard staged this cycle. Each publish is independent of the
+    // others, so the visiting order is immaterial.
+    if (!channels_.empty()) {
+        kernel.addPostPass([this](Cycle now) {
+            for (auto &list : publish_) {
+                for (BoundaryChannel *c : list)
+                    c->publish(now);
+                list.clear();
+            }
+        });
+    }
 
     if (params.thermal.enabled) {
         // Batched thermal epoch on the driving thread (events run
@@ -128,83 +142,6 @@ Network::Network(Kernel &kernel, const Params &params)
             ledger_.advanceThermal(now);
         });
     }
-}
-
-void
-Network::installShardHooks(Kernel &kernel)
-{
-    // Components land in domain 1 + shard: routers by the partition
-    // map, nodes with their router (injection/ejection links never
-    // cross shards), shuttles with their *source* router (the shuttle
-    // polls the link, whose state the sender mutates).
-    for (int r = 0; r < topo_->numRouters(); r++)
-        kernel.setDomain(routers_[static_cast<std::size_t>(r)].get(),
-                         1 + shardOf_[static_cast<std::size_t>(r)]);
-    for (int n = 0; n < topo_->numNodes(); n++)
-        kernel.setDomain(
-            nodes_[static_cast<std::size_t>(n)].get(),
-            1 + shardOf_[static_cast<std::size_t>(topo_->routerOf(
-                    static_cast<NodeId>(n)))]);
-    for (std::size_t i = 0; i < edges_.size(); i++)
-        kernel.setDomain(shuttles_[i].get(), edges_[i].srcDomain);
-
-    // Only edges that cross shards need the per-cycle publish/drain
-    // passes; a same-shard proxied edge runs its channel in direct mode
-    // (faulted fabrics only). At --shards 1 there are none and the
-    // hooks below are never installed.
-    crossEdges_.clear();
-    for (auto &e : edges_) {
-        if (e.srcDomain != e.dstDomain)
-            crossEdges_.push_back(&e);
-    }
-    int shards = kernel.shardCount();
-
-    // Per-domain cross-shard boundary lists, in link-enumeration order
-    // — the canonical merge order for boundary events.
-    domainIngress_.assign(static_cast<std::size_t>(shards) + 1, {});
-    domainEgress_.assign(static_cast<std::size_t>(shards) + 1, {});
-    for (BoundaryEdge *e : crossEdges_) {
-        domainIngress_[static_cast<std::size_t>(e->dstDomain)]
-            .push_back(e);
-        domainEgress_[static_cast<std::size_t>(e->srcDomain)]
-            .push_back(e->channel);
-    }
-
-    // Pre-pass (each shard's thread, before its tick pass): wake
-    // routers that have boundary deliveries, forward ready credits.
-    for (int d = 1; d <= shards; d++) {
-        auto &ingress = domainIngress_[static_cast<std::size_t>(d)];
-        auto &egress = domainEgress_[static_cast<std::size_t>(d)];
-        if (ingress.empty() && egress.empty())
-            continue;
-        kernel.setDomainPrePass(d, [&ingress, &egress](Cycle now) {
-            for (BoundaryEdge *e : ingress) {
-                if (e->channel->takeDeliveryEdge())
-                    e->dstRouter->wakeAt(now);
-            }
-            for (BoundaryChannel *c : egress)
-                c->drainCredits();
-        });
-    }
-
-    // Post-pass (driving thread, after the barrier): publish staged
-    // cross-shard boundary traffic and tell the kernel which domains
-    // have work, so the all-quiet fast path never skips a delivery.
-    if (crossEdges_.empty())
-        return;
-    kernel.addPostPass([this, &kernel](Cycle) {
-        for (BoundaryEdge *e : crossEdges_) {
-            bool arrivals = e->channel->arrivalsDirty();
-            bool credits = e->channel->creditsDirty();
-            if (!arrivals && !credits)
-                continue;
-            e->channel->swapBuffers();
-            if (arrivals)
-                kernel.markDomainWork(e->dstDomain);
-            if (credits)
-                kernel.markDomainWork(e->srcDomain);
-        }
-    });
 }
 
 std::pair<const OccupancyProvider *, int>

@@ -47,9 +47,10 @@ class Network
         int shards = 1;
         /** A fault injector will be attached (setFaultInjector). Its
          *  reliability layer gives the receiver-side link walk side
-         *  effects, so every inter-router link keeps the boundary
-         *  shuttle that pins that walk's cycles (boundary.hh);
-         *  without it, links inside one shard are proxy-free. */
+         *  effects, so every inter-router link is channeled and its
+         *  walk runs in the source router, which pins the walk's
+         *  cycles (boundary.hh); without it, links inside one shard
+         *  are proxy-free. */
         bool faults = false;
         /** Leakage + thermal model (phy/thermal.hh); disabled by
          *  default, which keeps every output byte-identical to the
@@ -198,10 +199,11 @@ class Network
         return shardOf_.at(static_cast<std::size_t>(r));
     }
 
+    /** Inter-router links read through a BoundaryChannel (crossing
+     *  shards, or any link of a faulted fabric; boundary.hh). */
+    std::size_t numChannels() const { return channels_.size(); }
+
   private:
-    /** Place routers, nodes and shuttles in their shard domains and
-     *  install the kernel's cross-shard publish/drain hooks. */
-    void installShardHooks(Kernel &kernel);
 
     std::unique_ptr<const Topology> topo_;
     BitrateLevelTable levels_;
@@ -213,30 +215,12 @@ class Network
     std::vector<std::unique_ptr<Node>> nodes_;
     std::vector<std::unique_ptr<OpticalLink>> links_;
 
-    // Boundary exchange: one channel + shuttle per proxied
-    // inter-router link (crossing shards, or any link of a faulted
-    // fabric), in link-enumeration order — the canonical
-    // boundary-merge order. shuttles_[i] serves edges_[i].
-    struct BoundaryEdge
-    {
-        BoundaryChannel *channel;
-        int srcDomain; ///< kernel domain of the source router
-        int dstDomain; ///< kernel domain of the destination router
-        Router *dstRouter;
-    };
+    // Boundary exchange: one channel per channeled inter-router link,
+    // in link-enumeration order. publish_[s] lists the channels shard
+    // s's thread staged into this cycle; the post-pass publishes and
+    // clears them.
     std::vector<std::unique_ptr<BoundaryChannel>> channels_;
-    std::vector<std::unique_ptr<LinkShuttle>> shuttles_;
-    std::vector<BoundaryEdge> edges_;
-    /** Edges whose endpoints are in different shards — the only ones
-     *  needing the pre-pass drains and the post-pass publish; edges
-     *  with both ends in one shard run in the channel's direct mode
-     *  and never appear in a per-cycle scan. */
-    std::vector<BoundaryEdge *> crossEdges_;
-    /** Per shard domain (index 1..shards): cross-shard edges
-     *  delivering into it (ingress wakes) and crediting out of it
-     *  (credit drains), each in link-enumeration order. */
-    std::vector<std::vector<BoundaryEdge *>> domainIngress_;
-    std::vector<std::vector<BoundaryChannel *>> domainEgress_;
+    std::vector<BoundaryChannel::PublishList> publish_;
     std::vector<int> shardOf_;
     bool faultModel_ = false; ///< Params::faults
 

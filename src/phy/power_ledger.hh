@@ -20,8 +20,8 @@
  *
  *  - A row is written only by code that already mutates its link: the
  *    shard that owns the link's sender during a parallel phase (a
- *    fault-attached inter-router link's receiver walk runs in its
- *    boundary shuttle, which lives in the sender's shard too), or the
+ *    fault-attached inter-router link's receiver walk runs at the end
+ *    of its source router's tick, on the sender's shard too), or the
  *    driving thread between phases. No column is ever written
  *    concurrently (TSan-checked by the sharded CI smokes).
  *  - updateDynamic folds exactly as TimeWeighted::update does — same

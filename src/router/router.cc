@@ -84,7 +84,7 @@ Router::connectInputBoundary(int port, OpticalLink *link,
     if (port < 0 || port >= numPorts())
         panic("Router %s: bad input port %d", name_.c_str(), port);
     auto &in = inputs_[static_cast<std::size_t>(port)];
-    in.link = link; // introspection only; the shuttle is the receiver
+    in.link = link; // introspection only; the source router receives
     in.boundary = channel;
     in.upstream = channel;
     in.upstreamPort = upstream_port;
@@ -111,6 +111,22 @@ Router::connectOutput(int port, OpticalLink *link, int downstream_vc_depth)
         outCredits_[f] = downstream_vc_depth;
         outMaxCredits_[f] = downstream_vc_depth;
     }
+}
+
+void
+Router::connectOutputBoundary(int port, BoundaryChannel *channel,
+                              std::uint32_t trace_order)
+{
+    if (port < 0 || port >= numPorts() ||
+        outLink_[static_cast<std::size_t>(port)] != channel->link())
+        panic("Router %s: output %d does not drive the channel's link",
+              name_.c_str(), port);
+    OpticalLink *link = channel->link();
+    // Wake edge: one cycle before each receiver event, the cycle whose
+    // walk stages it (see walkBoundaryOutputs).
+    link->setReceiver(this);
+    link->setReceiverWakeLead(1);
+    outBoundary_.push_back(BoundaryOutput{link, channel, trace_order});
 }
 
 void
@@ -205,17 +221,6 @@ Router::bufferedFor(int port) const
     }
     if (latchFull_.at(static_cast<std::size_t>(port)))
         n++;
-    return n;
-}
-
-int
-Router::totalBufferedFlits() const
-{
-    int n = 0;
-    for (int p = 0; p < numPorts(); p++)
-        n += inputOccupancy(p);
-    for (std::uint8_t full : latchFull_)
-        n += full ? 1 : 0;
     return n;
 }
 
@@ -565,8 +570,8 @@ Router::drainArrivals(Cycle now)
         };
         if (BoundaryChannel *bc = inBoundary_[static_cast<std::size_t>(p)]) {
             // Channeled input: everything on the ready side has an
-            // arrival stamp <= now (the shuttle staged it one cycle
-            // before arrival).
+            // arrival stamp <= now (the source router's walk staged it
+            // one cycle before arrival).
             while (bc->hasReadyArrival())
                 deliver(bc->popReadyArrival());
         } else {
@@ -617,6 +622,28 @@ Router::reclaimOrphans(Cycle now)
 }
 
 void
+Router::walkBoundaryOutputs(Cycle now)
+{
+    // Each channeled output's receiver walk, after this cycle's last
+    // touch of the link by its sender (ST above). Nothing else touches
+    // the link during the parallel phase, so every RNG draw, counter
+    // and ledger write lands as it would for a direct receiver polling
+    // one cycle ahead, and the router's own stages first see a failure
+    // the walk discovers on the next tick.
+    for (const BoundaryOutput &out : outBoundary_) {
+        OpticalLink *link = out.link;
+        if (link->nextReceiverEventCycle() <= now + 1) {
+            Kernel::setShardPassOrder(out.traceOrder);
+            BoundaryChannel *ch = out.channel;
+            link->drainArrivalsDue(
+                now + 1, [ch](const Flit &f) { ch->stageArrival(f); });
+        }
+        if (link->isFailed())
+            out.channel->stageFailure();
+    }
+}
+
+void
 Router::tick(Cycle now)
 {
     if (!pendingCredits_.empty())
@@ -632,6 +659,8 @@ Router::tick(Cycle now)
     drainArrivals(now);
     if (orphanTimeout_ != 0 && (now & 1023) == 0)
         reclaimOrphans(now);
+    if (!outBoundary_.empty())
+        walkBoundaryOutputs(now);
 }
 
 Cycle
@@ -649,11 +678,18 @@ Router::nextWakeCycle(Cycle now)
     for (std::uint64_t m = inputPending_; m != 0; m &= m - 1) {
         auto p = static_cast<std::size_t>(std::countr_zero(m));
         // Channeled inputs contribute nothing: their link belongs to
-        // the source shard (reading it here would race its walk), and
-        // every delivery comes with a pre-pass wake edge instead.
+        // the source router (reading it here would race its walk), and
+        // every delivery comes with a publish wake edge instead.
         if (inBoundary_[p] != nullptr)
             continue;
         wake = std::min(wake, inDrainLink_[p]->nextReceiverEventCycle());
+    }
+    // A channeled output's walk stages each receiver event one cycle
+    // ahead; everything due by now+1 was just walked.
+    for (const BoundaryOutput &out : outBoundary_) {
+        Cycle event = out.link->nextReceiverEventCycle();
+        if (event != kNeverCycle)
+            wake = std::min(wake, event > now + 1 ? event - 1 : now + 1);
     }
     return wake;
 }

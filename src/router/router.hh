@@ -20,10 +20,12 @@
  *
  * Within a tick the stages run downstream-first (ST, SA, VA, RC, then
  * link arrivals are drained into the buffers) so a flit advances at most
- * one stage per cycle. The router core runs at a fixed 625 MHz clock
- * regardless of the attached links' bit rates (Section 3.1): clock
- * domain crossing is inside OpticalLink, which simply refuses flits
- * while serializing or retraining.
+ * one stage per cycle. Last comes the receiver walk of each channeled
+ * output link, which stages what the link delivers next cycle into its
+ * boundary channel (network/boundary.hh). The router core runs at a
+ * fixed 625 MHz clock regardless of the attached links' bit rates
+ * (Section 3.1): clock domain crossing is inside OpticalLink, which
+ * simply refuses flits while serializing or retraining.
  */
 
 #ifndef OENET_ROUTER_ROUTER_HH
@@ -70,10 +72,11 @@ class Router final : public Ticking,
      * polling @p link directly: arrivals are drained from the
      * channel's ready side, credits are returned into the channel,
      * and the link's hard-failure state is read from the channel's
-     * propagated flag. The link's registered receiver is its shuttle,
-     * not this router; @p link is kept only for introspection
-     * (inputLink, policy stats). Used for every proxied inter-router
-     * link (network/boundary.hh says which are).
+     * published flag. The link's registered receiver is its source
+     * router (connectOutputBoundary), not this one; @p link is kept
+     * only for introspection (inputLink, policy stats). Used for every
+     * channeled inter-router link (network/boundary.hh says which
+     * are).
      */
     void connectInputBoundary(int port, OpticalLink *link,
                               BoundaryChannel *channel, int upstream_port);
@@ -83,6 +86,20 @@ class Router final : public Ticking,
     void connectOutput(int port, OpticalLink *link,
                        int downstream_vc_depth);
 
+    /**
+     * Make this router the receiver of the link already connected to
+     * output @p port, whose destination reads it through @p channel.
+     * The last step of every tick at cycle t is then that link's
+     * receiver walk: everything it delivers by t+1 is staged into the
+     * channel, and a hard failure is staged once. The link wakes this
+     * router one cycle before each receiver event (wake lead 1), and
+     * nextWakeCycle keeps the same edge. The walk's trace events carry
+     * @p trace_order (Kernel::setShardPassOrder), the key that sorts
+     * them after every router and node tick.
+     */
+    void connectOutputBoundary(int port, BoundaryChannel *channel,
+                               std::uint32_t trace_order);
+
     void tick(Cycle now) override;
 
     /**
@@ -91,8 +108,11 @@ class Router final : public Ticking,
      * or active — an active VC may still owe a poison tail on a failed
      * input), and no pending credits has a no-op tick; it parks until
      * the earliest event any input link could hand it (arrival,
-     * scheduled fault, transition end). Wake edges: a flit accepted
-     * onto an input link (OpticalLink::accept) and a returned credit.
+     * scheduled fault, transition end), or one cycle before the next
+     * receiver event of a channeled output, whose walk it runs. Wake
+     * edges: a flit accepted onto an input link or a channeled output
+     * (OpticalLink::accept), a transition started on a faulted
+     * channeled output, a returned credit, and a channel delivery.
      */
     Cycle nextWakeCycle(Cycle now) override;
 
@@ -146,8 +166,9 @@ class Router final : public Ticking,
      *  @p port (the sender-side backlog the policy escalates on). */
     int bufferedFor(int port) const;
 
-    /** Total flits buffered anywhere in this router (for drain tests). */
-    int totalBufferedFlits() const;
+    /** Total flits buffered anywhere in this router: input buffers
+     *  plus output latches (drain tests, the conservation audit). */
+    int totalBufferedFlits() const { return bufferedFlits_ + latchCount_; }
 
     // ------------------------------------------------------------------
     // Graceful degradation (fault injection)
@@ -208,6 +229,7 @@ class Router final : public Ticking,
     void stageVcAllocation(Cycle now);
     void stageRouteComputation(Cycle now);
     void drainArrivals(Cycle now);
+    void walkBoundaryOutputs(Cycle now);
 
     /** Flat index of input/output VC (@p port, @p vc) into the
      *  hot-state arrays — the same flattening VA's request masks use. */
@@ -268,6 +290,17 @@ class Router final : public Ticking,
 
     std::vector<RoundRobinArbiter> saInputArb_; ///< per input port
     std::vector<PendingCredit> pendingCredits_;
+
+    /** A channeled output: its link, whose receiver walk this router
+     *  runs, the channel the walk stages into, and the walk's trace
+     *  key. In connection (link-enumeration) order. */
+    struct BoundaryOutput
+    {
+        OpticalLink *link;
+        BoundaryChannel *channel;
+        std::uint32_t traceOrder;
+    };
+    std::vector<BoundaryOutput> outBoundary_;
 
     std::uint64_t flitsSwitched_ = 0;
     std::uint64_t droppedDeadPort_ = 0;

@@ -127,24 +127,9 @@ Kernel::setDomain(Ticking *component, int domain)
 }
 
 void
-Kernel::setDomainPrePass(int domain, std::function<void(Cycle)> hook)
-{
-    if (domain < 1 || domain > shards_)
-        panic("Kernel::setDomainPrePass: domain %d out of range [1, %d]",
-              domain, shards_);
-    domains_[domain]->prePass = std::move(hook);
-}
-
-void
 Kernel::addPostPass(std::function<void(Cycle)> hook)
 {
     postPass_.push_back(std::move(hook));
-}
-
-void
-Kernel::markDomainWork(int domain)
-{
-    domains_[domain]->pendingWork = true;
 }
 
 int
@@ -157,6 +142,13 @@ std::uint32_t
 Kernel::shardPassOrder()
 {
     return tlsDomain_->passOrder;
+}
+
+void
+Kernel::setShardPassOrder(std::uint32_t order)
+{
+    if (tlsDomain_ != nullptr)
+        tlsDomain_->passOrder = order;
 }
 
 std::size_t
@@ -187,8 +179,6 @@ Kernel::step()
     // kernel when sharding is off.
     runDomainPass(*domains_[0], now_);
     if (phased_ && !shardsQuiet()) {
-        for (int d = 1; d <= shards_; d++)
-            domains_[d]->pendingWork = false;
         if (workers_.empty()) {
             for (int d = 1; d <= shards_; d++)
                 runShardPhase(*domains_[d], now_);
@@ -272,9 +262,6 @@ void
 Kernel::runShardPhase(Domain &dom, Cycle now)
 {
     tlsDomain_ = &dom;
-    dom.passOrder = 0; // pre-pass emissions sort before any tick's
-    if (dom.prePass)
-        dom.prePass(now);
     runDomainPass(dom, now);
     tlsDomain_ = nullptr;
 }
@@ -286,7 +273,7 @@ Kernel::shardsQuiet() const
         return false;
     for (int d = 1; d <= shards_; d++) {
         const Domain &dom = *domains_[d];
-        if (dom.awakeCount != 0 || dom.pendingWork)
+        if (dom.awakeCount != 0)
             return false;
         // A stale heap head (superseded wake) conservatively runs the
         // phase; the domain's own admit loop then discards it.

@@ -31,11 +31,12 @@
  * quantum degenerates to one cycle here because credits apply at now+1
  * and the minimum link propagation is one cycle). Components in
  * different shards may only interact through phase-separated boundary
- * queues drained by per-domain pre-pass hooks; see DESIGN.md section
- * 11 and docs/DETERMINISM.md for the full contract. Each domain keeps
- * its own awake set and wake heap, so idle elision doubles as the
- * per-shard work queue. The single-domain path (no configureSharding
- * call) is the reference implementation and stays byte-identical.
+ * queues, published between phases by post-pass hooks on the driving
+ * thread; see DESIGN.md section 11 and docs/DETERMINISM.md for the full
+ * contract. Each domain keeps its own awake set and wake heap, so idle
+ * elision doubles as the per-shard work queue. The single-domain path
+ * (no configureSharding call) is the reference implementation and
+ * stays byte-identical.
  *
  * Admitting and parking a component are O(1): a domain keeps its
  * members in tick order with one bit per member marking it awake, so
@@ -184,27 +185,19 @@ class Kernel
      *  domains' member lists are rebuilt once, at the next step. */
     void setDomain(Ticking *component, int domain);
 
-    /** Install the pre-pass hook of shard @p domain: it runs on that
-     *  shard's thread at the start of every parallel phase, before the
-     *  domain's tick pass (boundary-queue drains live here). */
-    void setDomainPrePass(int domain, std::function<void(Cycle)> hook);
-
     /** Append a post-pass hook: runs on the driving thread after the
-     *  cycle's parallel phase completes (boundary-buffer swaps, trace
-     *  flushes, deferred-sink replays), in registration order. */
+     *  cycle's parallel phase completes (boundary publishes, trace
+     *  flushes, deferred-sink replays), in registration order. A wake
+     *  a hook issues for the next cycle keeps that cycle's parallel
+     *  phase from being skipped. */
     void addPostPass(std::function<void(Cycle)> hook);
 
-    /** Tell the kernel shard @p domain has work next cycle (boundary
-     *  deliveries staged by a post-pass hook). Clears when the domain's
-     *  pre-pass next runs; an all-quiet parallel phase is skipped. */
-    void markDomainWork(int domain);
-
     /**
-     * True on a thread currently executing a shard's parallel phase
-     * (pre-pass hook or tick pass). Emission sites that must not write
-     * shared sinks mid-pass (trace events, packet-ejection callbacks)
-     * test this and defer through per-domain buffers keyed by
-     * shardPassOrder(); see docs/DETERMINISM.md.
+     * True on a thread currently executing a shard's tick pass.
+     * Emission sites that must not write shared sinks mid-pass (trace
+     * events, packet-ejection callbacks) test this and defer through
+     * per-domain buffers keyed by shardPassOrder(); see
+     * docs/DETERMINISM.md.
      */
     static bool inShardPass() { return tlsDomain_ != nullptr; }
 
@@ -212,10 +205,17 @@ class Kernel
      *  @pre inShardPass(). */
     static int shardPassDomain();
 
-    /** tickOrder of the component currently ticking on this thread (0
-     *  during the pre-pass). Deferred emissions sort by this key, which
-     *  reconstructs the canonical serial order. @pre inShardPass(). */
+    /** tickOrder of the component currently ticking on this thread,
+     *  unless it re-keyed its emissions with setShardPassOrder.
+     *  Deferred emissions sort by this key, which reconstructs the
+     *  canonical serial order. @pre inShardPass(). */
     static std::uint32_t shardPassOrder();
+
+    /** Re-key the current tick's later emissions with @p order, for a
+     *  component that runs work another component's tick order names
+     *  (a router's boundary receiver walk). The key holds until the
+     *  next component's tick; a no-op outside a shard pass. */
+    static void setShardPassOrder(std::uint32_t order);
 
     /** Components in the per-cycle pass right now (diagnostics). */
     std::size_t activeCount() const;
@@ -263,9 +263,7 @@ class Kernel
             wakeHeap;
         bool inTickPass = false;
         std::uint32_t cursor = 0;    ///< slot of the component mid-tick
-        std::uint32_t passOrder = 0; ///< tickOrder_ of component mid-tick
-        std::function<void(Cycle)> prePass;
-        bool pendingWork = false; ///< boundary deliveries staged
+        std::uint32_t passOrder = 0; ///< emission key of the tick
     };
 
     /** Rebuild every domain's member list, slots and awake set from
@@ -282,7 +280,8 @@ class Kernel
     /** One domain's tick pass at cycle @p now (elision-aware). */
     void runDomainPass(Domain &dom, Cycle now);
 
-    /** One shard's full parallel phase: pre-pass drain + tick pass. */
+    /** One shard's parallel phase: its tick pass, with the thread
+     *  marked as inside a shard pass. */
     void runShardPhase(Domain &dom, Cycle now);
 
     /** True if every shard domain's parallel phase would be a no-op. */

@@ -289,3 +289,29 @@ TEST(GoldenMesh, VcselLockLossAndBerMatchRecordedBytes)
     vc.fault.lockLossPerCycle = 2e-4;
     EXPECT_EQ(fingerprintRun(vc, 0.8, 17, 250), 0xe4f9ec8f371fd7cdull);
 }
+
+TEST(GoldenMesh, FaultedFatTreeMatchesRecordedBytes)
+{
+    // Faulted bytes beyond the mesh: a k=4 fat tree (single-path
+    // up/down routing, so flits routed at the killed edge uplink 40
+    // drain through the dead-port drop path) with lock losses and a
+    // BER floor. Three shards cut the tree between edge, aggregation
+    // and core switches, so the constant holds across shard
+    // boundaries too.
+    for (int shards : {1, 3}) {
+        SystemConfig ft;
+        ft.topology = TopologyKind::kFatTree;
+        ft.fatTreeArity = 4;
+        ft.windowCycles = 200;
+        ft.shards = shards;
+        ft.fault.enabled = true;
+        ft.fault.seed = 57;
+        ft.fault.lockLossPerCycle = 2e-4;
+        ft.fault.berFloor = 1e-4;
+        ft.fault.killLink = 40;
+        ft.fault.killCycle = 2000;
+        ft.fault.orphanTimeoutCycles = 300;
+        EXPECT_EQ(fingerprintRun(ft, 0.6, 19, 250), 0x24f2f40867380415ull)
+            << "shards=" << shards;
+    }
+}

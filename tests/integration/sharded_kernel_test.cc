@@ -13,6 +13,10 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -163,7 +167,7 @@ TEST(ShardedKernel, FingerprintInvariantUnderLinkFailure)
 {
     // A scripted inter-router link kill crosses every sharded
     // mechanism at once: failure propagation through the boundary
-    // proxy, poison drains, credit reclamation, reroute.
+    // channel, poison drains, credit reclamation, reroute.
     auto cfg = [](int shards, bool elision) {
         SystemConfig c = asymmetricMesh(shards, elision);
         c.routing = RoutingAlgo::kWestFirst; // route-around capable
@@ -230,17 +234,6 @@ TEST(ShardedKernel, FingerprintInvariantWithFaultsAndLeakage)
 
 namespace {
 
-/** Proxied links: every kernel component beyond the traffic pump,
- *  the routers and the nodes is a link's boundary shuttle. */
-std::size_t
-proxiedLinks(PoeSystem &sys)
-{
-    Network &net = sys.network();
-    return sys.kernel().tickingCount() - 1 -
-           static_cast<std::size_t>(net.numRouters()) -
-           static_cast<std::size_t>(net.numNodes());
-}
-
 std::size_t
 interRouterLinks(Network &net)
 {
@@ -250,21 +243,31 @@ interRouterLinks(Network &net)
     return n;
 }
 
+/** The kernel holds the traffic pump, the routers and the nodes, and
+ *  nothing else, whatever the links' wiring. */
+void
+expectOnlyPumpRoutersAndNodes(PoeSystem &sys)
+{
+    Network &net = sys.network();
+    EXPECT_EQ(sys.kernel().tickingCount(),
+              1 + static_cast<std::size_t>(net.numRouters()) +
+                  static_cast<std::size_t>(net.numNodes()));
+}
+
 } // namespace
 
 TEST(ShardedKernel, UnshardedFaultFreeLinksAreProxyFree)
 {
-    // The default run registers no boundary shuttle at all: the kernel
-    // holds the traffic pump, the routers and the nodes, and nothing
-    // else.
+    // The default run needs no boundary channel at all.
     PoeSystem sys(asymmetricMesh(1, true));
-    EXPECT_EQ(proxiedLinks(sys), 0u);
+    EXPECT_EQ(sys.network().numChannels(), 0u);
+    expectOnlyPumpRoutersAndNodes(sys);
 }
 
 TEST(ShardedKernel, OnlyCrossShardLinksAreProxiedWithoutFaults)
 {
     // Two shards cut the 5x3 mesh once: the links across the cut get a
-    // shuttle, every link inside a shard stays proxy-free.
+    // channel, every link inside a shard stays proxy-free.
     PoeSystem sys(asymmetricMesh(2, true));
     Network &net = sys.network();
     std::size_t crossing = 0;
@@ -276,19 +279,117 @@ TEST(ShardedKernel, OnlyCrossShardLinksAreProxiedWithoutFaults)
     }
     EXPECT_GT(crossing, 0u);
     EXPECT_LT(crossing, interRouterLinks(net));
-    EXPECT_EQ(proxiedLinks(sys), crossing);
+    EXPECT_EQ(net.numChannels(), crossing);
+    expectOnlyPumpRoutersAndNodes(sys);
 }
 
 TEST(ShardedKernel, FaultModelKeepsEveryInterRouterLinkProxied)
 {
-    // The reliability layer gives the receiver's poll side effects, so
-    // every inter-router link keeps its shuttle — at one shard too.
+    // The reliability layer gives the receiver walk side effects, so
+    // every inter-router link is channeled and walked by its source
+    // router, at one shard too.
     for (int shards : {1, 2}) {
         SystemConfig c = asymmetricMesh(shards, true);
         c.fault.enabled = true;
         PoeSystem sys(c);
-        EXPECT_EQ(proxiedLinks(sys), interRouterLinks(sys.network()))
+        EXPECT_EQ(sys.network().numChannels(),
+                  interRouterLinks(sys.network()))
             << "shards=" << shards;
+        expectOnlyPumpRoutersAndNodes(sys);
+    }
+}
+
+namespace {
+
+/** Records every packet retire in stream order. */
+struct RetireLog final : public TraceSink
+{
+    struct Retire
+    {
+        Cycle at;
+        PacketId packet;
+        Cycle latency;
+        bool operator==(const Retire &) const = default;
+    };
+    std::vector<Retire> retires;
+
+    void packetRetire(const PacketRetireEvent &e) override
+    {
+        retires.push_back(Retire{e.at, e.packet, e.latency});
+    }
+};
+
+/** Drives the golden-style protocol with every retire logged into
+ *  @p log; returns the final metrics. */
+RunMetrics
+retireRun(const SystemConfig &cfg, RetireLog &log)
+{
+    PoeSystem sys(cfg);
+    sys.setTraceSink(&log, 0);
+    sys.setTraffic(makeTraffic(TrafficSpec::uniform(1.0, 4, 31), cfg));
+    sys.run(500);
+    sys.startMeasurement();
+    sys.run(2500);
+    sys.stopMeasurement();
+    sys.setTraffic(nullptr);
+    sys.awaitDrain(10000);
+    RunMetrics m = sys.metrics();
+    sys.setTraceSink(nullptr);
+    return m;
+}
+
+/** Every RunMetrics field as (name, bit pattern), for exact equality. */
+std::vector<std::pair<std::string, std::uint64_t>>
+metricBits(RunMetrics m)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    forEachRunMetricsField(m, [&](const char *name, auto &v) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, double>)
+            out.emplace_back(name, std::bit_cast<std::uint64_t>(v));
+        else
+            out.emplace_back(name, static_cast<std::uint64_t>(v));
+    });
+    return out;
+}
+
+} // namespace
+
+TEST(ShardedKernel, ZeroRateFaultModelKeepsFaultFreeTiming)
+{
+    // A fault model with every rate at zero changes which links are
+    // channeled (all inter-router links, at every shard count) but
+    // never what they deliver or when: every packet must retire at the
+    // same cycle, with the same latency and metrics, as on the
+    // fault-free fabric, whose same-shard links are proxy-free.
+    for (int shards : {1, 2}) {
+        for (bool dvs : {false, true}) {
+            SystemConfig plain;
+            plain.meshX = 4;
+            plain.meshY = 3;
+            plain.clusterSize = 2;
+            plain.routing = RoutingAlgo::kWestFirst;
+            plain.windowCycles = 200;
+            plain.powerAware = dvs;
+            plain.shards = shards;
+            SystemConfig faulted = plain;
+            faulted.fault.enabled = true;
+            faulted.fault.seed = 7;
+            faulted.fault.berScale = 0.0;
+            faulted.fault.berFloor = 0.0;
+            faulted.fault.lockLossPerCycle = 0.0;
+            faulted.fault.hardFailPerCycle = 0.0;
+            faulted.fault.killLink = kInvalid;
+
+            RetireLog plain_log, faulted_log;
+            RunMetrics a = retireRun(plain, plain_log);
+            RunMetrics b = retireRun(faulted, faulted_log);
+            ASSERT_GT(plain_log.retires.size(), 1000u);
+            EXPECT_TRUE(plain_log.retires == faulted_log.retires)
+                << "shards=" << shards << " dvs=" << dvs;
+            EXPECT_EQ(metricBits(a), metricBits(b))
+                << "shards=" << shards << " dvs=" << dvs;
+        }
     }
 }
 

@@ -1,15 +1,19 @@
 /**
  * @file
- * BoundaryChannel unit tests: the double-buffered SPSC mailbox that
- * carries flits, credits, and failure markers across a shard boundary.
+ * BoundaryChannel unit tests: the phase-separated SPSC mailbox that
+ * carries flits, credits, and failure markers from a channeled link's
+ * receiver walk (in the source router) to its destination router.
  * Everything here runs single-threaded — the channel has no internal
  * synchronization to test (the kernel's phase barrier provides it);
  * what matters is the phase discipline: nothing staged is visible
- * before swapBuffers(), and everything staged is visible, in order,
- * after it.
+ * before the publish, everything staged is visible, in order, after
+ * it, and each publish of flits or a failure wakes the destination
+ * for the next cycle.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "network/boundary.hh"
 #include "phy/power_ledger.hh"
@@ -34,6 +38,47 @@ struct RecordingCreditSink final : public CreditSink
     }
 };
 
+/** Destination-router stand-in: parks until woken, records its ticks. */
+struct ParkedDst final : public Ticking
+{
+    std::vector<Cycle> ticks;
+
+    void tick(Cycle now) override { ticks.push_back(now); }
+    Cycle nextWakeCycle(Cycle) override { return kNeverCycle; }
+};
+
+/** A channel wired to a parked destination in a one-domain kernel,
+ *  with separate source and destination publish lists. */
+struct Harness
+{
+    Kernel kernel;
+    ParkedDst dst;
+    RecordingCreditSink upstream;
+    BoundaryChannel::PublishList srcList;
+    BoundaryChannel::PublishList dstList;
+    BoundaryChannel chan;
+
+    explicit Harness(int src_port, OpticalLink *link = nullptr)
+        : chan(link, &upstream, src_port, &dst, &srcList, &dstList)
+    {
+        kernel.addTicking(&dst);
+        kernel.step(); // the first tick parks the destination
+        dst.ticks.clear();
+    }
+
+    /** The post-pass of the cycle just stepped: publish both lists. */
+    Cycle publish()
+    {
+        Cycle now = kernel.now() - 1;
+        for (auto *list : {&srcList, &dstList}) {
+            for (BoundaryChannel *c : *list)
+                c->publish(now);
+            list->clear();
+        }
+        return now;
+    }
+};
+
 Flit
 makeFlit(PacketId id, std::uint16_t seq)
 {
@@ -47,103 +92,134 @@ makeFlit(PacketId id, std::uint16_t seq)
 
 TEST(BoundaryChannel, StagedArrivalsInvisibleUntilSwap)
 {
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 3);
+    // The publish's index flip (the "swap" of this test's name) is the
+    // only way a staged flit becomes visible.
+    Harness h(3);
 
-    chan.stageArrival(makeFlit(7, 0));
-    chan.stageArrival(makeFlit(7, 1));
-    EXPECT_FALSE(chan.hasReadyArrival());
-    EXPECT_TRUE(chan.arrivalsDirty());
-    EXPECT_TRUE(chan.dirty());
-    EXPECT_EQ(chan.staged(), 2);
+    h.chan.stageArrival(makeFlit(7, 0));
+    h.chan.stageArrival(makeFlit(7, 1));
+    EXPECT_FALSE(h.chan.hasReadyArrival());
+    EXPECT_EQ(h.chan.staged(), 2);
 
-    chan.swapBuffers();
-    EXPECT_FALSE(chan.dirty());
-    EXPECT_EQ(chan.staged(), 2); // now on the ready side
-    ASSERT_TRUE(chan.hasReadyArrival());
-    EXPECT_EQ(chan.popReadyArrival().seq, 0); // FIFO
-    ASSERT_TRUE(chan.hasReadyArrival());
-    EXPECT_EQ(chan.popReadyArrival().seq, 1);
-    EXPECT_FALSE(chan.hasReadyArrival());
-    EXPECT_EQ(chan.staged(), 0);
+    h.publish();
+    EXPECT_EQ(h.chan.staged(), 2); // now on the ready side
+    ASSERT_TRUE(h.chan.hasReadyArrival());
+    EXPECT_EQ(h.chan.popReadyArrival().seq, 0); // FIFO
+    ASSERT_TRUE(h.chan.hasReadyArrival());
+    EXPECT_EQ(h.chan.popReadyArrival().seq, 1);
+    EXPECT_FALSE(h.chan.hasReadyArrival());
+    EXPECT_EQ(h.chan.staged(), 0);
 }
 
 TEST(BoundaryChannel, ArrivalsStagedDuringDrainWaitOneMorePhase)
 {
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 0);
+    Harness h(0);
 
-    chan.stageArrival(makeFlit(1, 0));
-    chan.swapBuffers();
-    // Producer stages the next cycle's flit while the consumer still
-    // holds the previous ready buffer.
-    chan.stageArrival(makeFlit(2, 0));
-    ASSERT_TRUE(chan.hasReadyArrival());
-    EXPECT_EQ(chan.popReadyArrival().packet, 1u);
-    EXPECT_FALSE(chan.hasReadyArrival()); // packet 2 not published yet
-    EXPECT_EQ(chan.staged(), 1);
+    h.chan.stageArrival(makeFlit(1, 0));
+    h.publish();
+    // The walk stages the next cycle's flit while the consumer still
+    // holds the previous ready region.
+    h.chan.stageArrival(makeFlit(2, 0));
+    ASSERT_TRUE(h.chan.hasReadyArrival());
+    EXPECT_EQ(h.chan.popReadyArrival().packet, 1u);
+    EXPECT_FALSE(h.chan.hasReadyArrival()); // packet 2 not published yet
+    EXPECT_EQ(h.chan.staged(), 1);
 
-    chan.swapBuffers();
-    ASSERT_TRUE(chan.hasReadyArrival());
-    EXPECT_EQ(chan.popReadyArrival().packet, 2u);
+    h.publish();
+    ASSERT_TRUE(h.chan.hasReadyArrival());
+    EXPECT_EQ(h.chan.popReadyArrival().packet, 2u);
+}
+
+TEST(BoundaryChannel, EachSideListsItselfOncePerCycle)
+{
+    // The walk lists the channel on the source shard's publish list
+    // and a credit return on the destination shard's, each the first
+    // time it stages in a cycle, so the publish visits only channels
+    // that carry something, once per side.
+    Harness h(0);
+    h.chan.stageArrival(makeFlit(1, 0));
+    h.chan.stageArrival(makeFlit(1, 1));
+    h.chan.stageFailure();
+    h.chan.returnCredit(0, 0, 0);
+    h.chan.returnCredit(0, 1, 0);
+    EXPECT_EQ(h.srcList.size(), 1u);
+    EXPECT_EQ(h.dstList.size(), 1u);
+
+    h.publish();
+    EXPECT_TRUE(h.srcList.empty());
+    EXPECT_TRUE(h.dstList.empty());
+    h.chan.popReadyArrival();
+    h.chan.popReadyArrival();
+    h.chan.returnCredit(0, 0, 1);
+    EXPECT_TRUE(h.srcList.empty());
+    EXPECT_EQ(h.dstList.size(), 1u); // listed again in a new cycle
 }
 
 TEST(BoundaryChannel, CreditsForwardWithOriginalStampAndSourcePort)
 {
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 5);
+    Harness h(5);
 
-    chan.returnCredit(/*port=*/2, /*vc=*/1, /*now=*/40);
-    chan.returnCredit(2, 0, 41);
-    EXPECT_TRUE(chan.creditsDirty());
-    EXPECT_FALSE(chan.arrivalsDirty());
-    EXPECT_TRUE(upstream.credits.empty()); // nothing until swap + drain
+    h.chan.returnCredit(/*port=*/2, /*vc=*/1, /*now=*/40);
+    h.chan.returnCredit(2, 0, 41);
+    EXPECT_TRUE(h.upstream.credits.empty()); // nothing until the publish
 
-    chan.swapBuffers();
-    EXPECT_TRUE(upstream.credits.empty()); // drain is explicit
-    chan.drainCredits();
-    ASSERT_EQ(upstream.credits.size(), 2u);
+    h.publish();
+    ASSERT_EQ(h.upstream.credits.size(), 2u);
     // The destination port the credit came in on is irrelevant; the
-    // source router hears its own output port number.
-    EXPECT_EQ(upstream.credits[0].port, 5);
-    EXPECT_EQ(upstream.credits[0].vc, 1);
-    EXPECT_EQ(upstream.credits[0].at, 40u);
-    EXPECT_EQ(upstream.credits[1].vc, 0);
-    EXPECT_EQ(upstream.credits[1].at, 41u);
+    // source router hears its own output port number, and the stamp
+    // is the return cycle, so the credit applies one cycle later.
+    EXPECT_EQ(h.upstream.credits[0].port, 5);
+    EXPECT_EQ(h.upstream.credits[0].vc, 1);
+    EXPECT_EQ(h.upstream.credits[0].at, 40u);
+    EXPECT_EQ(h.upstream.credits[1].vc, 0);
+    EXPECT_EQ(h.upstream.credits[1].at, 41u);
+    // Credits wake the source router (through returnCredit), never
+    // the destination.
+    h.kernel.step();
+    EXPECT_TRUE(h.dst.ticks.empty());
 
-    chan.drainCredits(); // idempotent once drained
-    EXPECT_EQ(upstream.credits.size(), 2u);
+    h.chan.publish(h.kernel.now()); // a repeat publish forwards nothing
+    EXPECT_EQ(h.upstream.credits.size(), 2u);
 }
 
 TEST(BoundaryChannel, FailurePublishesOnceWithSingleDeliveryEdge)
 {
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 0);
+    Harness h(0);
 
-    EXPECT_FALSE(chan.failed());
-    chan.stageFailure();
-    EXPECT_FALSE(chan.failed()); // not before the swap
-    EXPECT_TRUE(chan.arrivalsDirty());
+    EXPECT_FALSE(h.chan.failed());
+    h.chan.stageFailure();
+    h.chan.stageFailure(); // the walk reports a dead link every tick
+    EXPECT_FALSE(h.chan.failed()); // not before the publish
+    EXPECT_EQ(h.srcList.size(), 1u);
 
-    chan.swapBuffers();
-    EXPECT_TRUE(chan.failed());
-    EXPECT_TRUE(chan.takeDeliveryEdge());  // one wake edge...
-    EXPECT_FALSE(chan.takeDeliveryEdge()); // ...consumed
-    EXPECT_TRUE(chan.failed());            // the level persists
+    Cycle t = h.publish();
+    EXPECT_TRUE(h.chan.failed());
+    h.chan.stageFailure(); // already staged: lists nothing
+    EXPECT_TRUE(h.srcList.empty());
+    h.kernel.run(3);
+    // One wake edge, for the cycle after the walk discovered it...
+    EXPECT_EQ(h.dst.ticks, (std::vector<Cycle>{t + 1}));
+    EXPECT_TRUE(h.chan.failed()); // ...and the level persists
 }
 
 TEST(BoundaryChannel, DeliveryEdgeFollowsReadyFlits)
 {
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 0);
+    Harness h(0);
 
-    EXPECT_FALSE(chan.takeDeliveryEdge());
-    chan.stageArrival(makeFlit(9, 0));
-    EXPECT_FALSE(chan.takeDeliveryEdge()); // still pending
-    chan.swapBuffers();
-    EXPECT_TRUE(chan.takeDeliveryEdge());
-    chan.popReadyArrival();
-    EXPECT_FALSE(chan.takeDeliveryEdge());
+    h.publish(); // nothing staged: no wake
+    h.kernel.step();
+    EXPECT_TRUE(h.dst.ticks.empty());
+
+    h.chan.stageArrival(makeFlit(9, 0));
+    Cycle t = h.publish();
+    h.kernel.step();
+    // The destination ticks at the flit's arrival cycle, t + 1.
+    EXPECT_EQ(h.dst.ticks, (std::vector<Cycle>{t + 1}));
+    ASSERT_TRUE(h.chan.hasReadyArrival());
+    h.chan.popReadyArrival();
+    h.publish(); // drained, nothing new: no further wake
+    h.kernel.run(2);
+    EXPECT_EQ(h.dst.ticks.size(), 1u);
 }
 
 TEST(BoundaryChannel, RingsWrapAcrossManyCycles)
@@ -151,75 +227,26 @@ TEST(BoundaryChannel, RingsWrapAcrossManyCycles)
     // The slabs are fixed rings addressed by monotonically increasing
     // masked indices; push enough traffic through to wrap both rings
     // several times and confirm FIFO order and credit stamps survive.
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 1);
+    Harness h(1);
 
     std::uint16_t seq = 0;
     for (Cycle t = 0; t < 100; t++) {
-        chan.stageArrival(makeFlit(1, seq));
-        chan.stageArrival(makeFlit(1, static_cast<std::uint16_t>(seq + 1)));
-        chan.returnCredit(0, static_cast<int>(t % 2), t);
-        chan.swapBuffers();
-        ASSERT_TRUE(chan.hasReadyArrival());
-        EXPECT_EQ(chan.popReadyArrival().seq, seq);
-        EXPECT_EQ(chan.popReadyArrival().seq, seq + 1);
-        EXPECT_FALSE(chan.hasReadyArrival());
-        chan.drainCredits();
-        ASSERT_EQ(upstream.credits.size(), static_cast<std::size_t>(t + 1));
-        EXPECT_EQ(upstream.credits.back().at, t);
-        EXPECT_EQ(upstream.credits.back().vc, static_cast<int>(t % 2));
+        h.chan.stageArrival(makeFlit(1, seq));
+        h.chan.stageArrival(
+            makeFlit(1, static_cast<std::uint16_t>(seq + 1)));
+        h.chan.returnCredit(0, static_cast<int>(t % 2), t);
+        h.publish();
+        h.kernel.step();
+        ASSERT_TRUE(h.chan.hasReadyArrival());
+        EXPECT_EQ(h.chan.popReadyArrival().seq, seq);
+        EXPECT_EQ(h.chan.popReadyArrival().seq, seq + 1);
+        EXPECT_FALSE(h.chan.hasReadyArrival());
+        ASSERT_EQ(h.upstream.credits.size(),
+                  static_cast<std::size_t>(t + 1));
+        EXPECT_EQ(h.upstream.credits.back().at, t);
+        EXPECT_EQ(h.upstream.credits.back().vc, static_cast<int>(t % 2));
         seq = static_cast<std::uint16_t>(seq + 2);
     }
-}
-
-TEST(BoundaryChannelDirect, ArrivalsPublishImmediately)
-{
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 0);
-    chan.setDirect();
-
-    chan.stageArrival(makeFlit(3, 0));
-    chan.stageArrival(makeFlit(3, 1));
-    // No swap: the flits are ready the moment they are staged (the
-    // destination router ticked before the shuttle this cycle, so it
-    // cannot observe them early), and the channel never reports dirty
-    // (the per-cycle swap pass skips direct edges entirely).
-    EXPECT_FALSE(chan.dirty());
-    EXPECT_EQ(chan.staged(), 2);
-    ASSERT_TRUE(chan.hasReadyArrival());
-    EXPECT_EQ(chan.popReadyArrival().seq, 0);
-    EXPECT_EQ(chan.popReadyArrival().seq, 1);
-    EXPECT_FALSE(chan.hasReadyArrival());
-}
-
-TEST(BoundaryChannelDirect, CreditsForwardSynchronously)
-{
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 5);
-    chan.setDirect();
-
-    chan.returnCredit(/*port=*/2, /*vc=*/1, /*now=*/40);
-    // The upstream router hears the credit at the call site, on its
-    // own output port, with the original stamp — identical arguments
-    // to what drainCredits would forward one phase later, so the
-    // credit still applies at cycle 41 either way.
-    EXPECT_FALSE(chan.creditsDirty());
-    ASSERT_EQ(upstream.credits.size(), 1u);
-    EXPECT_EQ(upstream.credits[0].port, 5);
-    EXPECT_EQ(upstream.credits[0].vc, 1);
-    EXPECT_EQ(upstream.credits[0].at, 40u);
-}
-
-TEST(BoundaryChannelDirect, FailureVisibleImmediately)
-{
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(nullptr, &upstream, 0);
-    chan.setDirect();
-
-    EXPECT_FALSE(chan.failed());
-    chan.stageFailure();
-    EXPECT_TRUE(chan.failed());
-    EXPECT_FALSE(chan.dirty()); // no swap needed to publish
 }
 
 TEST(BoundaryChannelDeath, ArrivalRingOverflowPanics)
@@ -228,47 +255,56 @@ TEST(BoundaryChannelDeath, ArrivalRingOverflowPanics)
     LinkPowerLedger ledger(1);
     OpticalLink link("bnd", LinkKind::kInterRouter, levels,
                      OpticalLink::Params{}, ledger);
-    RecordingCreditSink upstream;
-    BoundaryChannel chan(&link, &upstream, 0);
+    Harness h(0, &link);
 
-    // Staging past the ring capacity without a drain must trip the
+    // Staging past the ring capacity without a publish must trip the
     // capacity panic, not silently wrap over undelivered flits.
     auto flood = [&] {
         for (int i = 0; i < 64; i++)
-            chan.stageArrival(makeFlit(1, static_cast<std::uint16_t>(i)));
+            h.chan.stageArrival(
+                makeFlit(1, static_cast<std::uint16_t>(i)));
     };
     EXPECT_DEATH(flood(), "arrival ring overflow");
 }
 
 TEST(BoundaryChannelDeath, OverflowBoundsAgainstPublishedHeads)
 {
-    // In cross-shard mode each producer checks its ring against the
-    // consumer's head as of the last publish — the live head belongs
-    // to another shard's thread. A consumer that drained since then
-    // frees no room until the next publish.
+    // The walk checks the arrival ring against the consumer's head as
+    // of the last publish — the live head belongs to another shard's
+    // thread. A consumer that drained since then frees no room until
+    // the next publish.
     BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
     LinkPowerLedger ledger(1);
     OpticalLink link("bnd", LinkKind::kInterRouter, levels,
                      OpticalLink::Params{}, ledger);
-    RecordingCreditSink upstream;
+    Harness h(0, &link);
 
-    BoundaryChannel flits(&link, &upstream, 0);
     for (int i = 0; i < 16; i++)
-        flits.stageArrival(makeFlit(1, static_cast<std::uint16_t>(i)));
-    flits.swapBuffers();
-    while (flits.hasReadyArrival())
-        flits.popReadyArrival();
+        h.chan.stageArrival(makeFlit(1, static_cast<std::uint16_t>(i)));
+    h.publish();
+    while (h.chan.hasReadyArrival())
+        h.chan.popReadyArrival();
     for (int i = 16; i < 32; i++) // published 16 + pending 16: fits
-        flits.stageArrival(makeFlit(1, static_cast<std::uint16_t>(i)));
-    EXPECT_DEATH(flits.stageArrival(makeFlit(1, 32)),
+        h.chan.stageArrival(makeFlit(1, static_cast<std::uint16_t>(i)));
+    EXPECT_DEATH(h.chan.stageArrival(makeFlit(1, 32)),
                  "arrival ring overflow");
+}
 
-    BoundaryChannel credits(&link, &upstream, 0);
-    for (int i = 0; i < 4; i++)
-        credits.returnCredit(0, 0, 1);
-    credits.swapBuffers();
-    credits.drainCredits();
-    for (int i = 4; i < 8; i++)
-        credits.returnCredit(0, 0, 2);
-    EXPECT_DEATH(credits.returnCredit(0, 0, 2), "credit ring overflow");
+TEST(BoundaryChannelDeath, CreditRingOverflowPanics)
+{
+    // Switch allocation returns at most one credit per input port per
+    // cycle and every publish forwards them all, so more credits in
+    // one cycle than the ring holds is a protocol bug.
+    BitrateLevelTable levels = BitrateLevelTable::linear(5.0, 10.0, 6);
+    LinkPowerLedger ledger(1);
+    OpticalLink link("bnd", LinkKind::kInterRouter, levels,
+                     OpticalLink::Params{}, ledger);
+    Harness h(0, &link);
+
+    for (int i = 0; i < 8; i++)
+        h.chan.returnCredit(0, 0, 1);
+    h.publish(); // forwarded: the ring is empty again
+    for (int i = 0; i < 8; i++)
+        h.chan.returnCredit(0, 0, 2);
+    EXPECT_DEATH(h.chan.returnCredit(0, 0, 2), "credit ring overflow");
 }

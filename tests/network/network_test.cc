@@ -190,9 +190,10 @@ TEST(NetworkDeath, BadEndpointsPanic)
 
 TEST(NetworkDeath, FaultInjectorNeedsAFaultReadyNetwork)
 {
-    // Without Params::faults the same-shard links are wired proxy-free,
-    // and their receiver walk would run at the wrong cycles once a
-    // reliability layer is attached.
+    // Without Params::faults the same-shard links are wired proxy-free:
+    // their destination router, not the source router at the end of
+    // its tick, would run the reliability layer's receiver walk, at
+    // the wrong cycles and out of per-link draw order.
     Kernel kernel;
     Network net(kernel, smallParams());
     FaultInjector faults(FaultParams{},

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/kernel.hh"
@@ -108,6 +109,40 @@ TEST(Kernel, PeriodicReceivesScheduledTime)
     k.schedulePeriodic(5, 7, [&](Cycle t) { args.push_back(t); });
     k.run(20);
     EXPECT_EQ(args, (std::vector<Cycle>{5, 12, 19}));
+}
+
+TEST(Kernel, SetShardPassOrderRekeysTheRestOfATick)
+{
+    // Outside a shard pass there is no emission key to change.
+    Kernel::setShardPassOrder(7);
+    EXPECT_FALSE(Kernel::inShardPass());
+
+    // Inside one, a tick's later emissions take the new key, and the
+    // next component's tick starts from its own tick order again.
+    struct Probe : Ticking
+    {
+        std::uint32_t rekey = 0;
+        std::vector<std::uint32_t> seen;
+        void tick(Cycle) override
+        {
+            seen.push_back(Kernel::shardPassOrder());
+            if (rekey != 0) {
+                Kernel::setShardPassOrder(rekey);
+                seen.push_back(Kernel::shardPassOrder());
+            }
+        }
+    };
+    Kernel k;
+    k.configureSharding(1);
+    Probe a, b;
+    a.rekey = 40;
+    k.addTicking(&a);
+    k.addTicking(&b);
+    k.setDomain(&a, 1);
+    k.setDomain(&b, 1);
+    k.step();
+    EXPECT_EQ(a.seen, (std::vector<std::uint32_t>{0, 40}));
+    EXPECT_EQ(b.seen, (std::vector<std::uint32_t>{1}));
 }
 
 TEST(KernelDeath, NullComponentPanics)
