@@ -360,6 +360,23 @@ markTracePoint(const BenchArgs &args, std::vector<Point> &points,
                 static_cast<unsigned long long>(args.metricsInterval));
 }
 
+/** Print one FAILED line per failed outcome and return how many
+ *  failed. */
+inline std::size_t
+printFailures(const std::vector<SweepOutcome> &outcomes)
+{
+    std::size_t failed = 0;
+    for (const SweepOutcome &o : outcomes) {
+        if (!o.ok()) {
+            failed++;
+            std::printf("  FAILED [%zu] %s after %d attempt(s): %s\n",
+                        o.index, o.label.c_str(), o.attempts,
+                        o.error.c_str());
+        }
+    }
+    return failed;
+}
+
 /** One-line runner telemetry (threads, wall time, speedup), plus the
  *  per-status breakdown when points were resumed or failed. */
 inline void
@@ -378,14 +395,7 @@ printReport(const SweepReport &report)
     if (failed > 0) {
         std::printf("sweep: %zu ok, %zu FAILED\n",
                     report.outcomes.size() - failed, failed);
-        for (const auto &o : report.outcomes) {
-            if (!o.ok()) {
-                std::printf("  FAILED [%zu] %s after %d attempt(s): "
-                            "%s\n",
-                            o.index, o.label.c_str(), o.attempts,
-                            o.error.c_str());
-            }
-        }
+        printFailures(report.outcomes);
     }
 }
 
@@ -404,16 +414,7 @@ exitStatus(const SweepReport &report)
 inline int
 exitStatus(const std::vector<TimelineOutcome> &outcomes)
 {
-    int failed = 0;
-    for (const auto &o : outcomes) {
-        if (o.status != PointStatus::kOk) {
-            failed++;
-            std::printf("  FAILED [%zu] %s after %d attempt(s): %s\n",
-                        o.index, o.label.c_str(), o.attempts,
-                        o.error.c_str());
-        }
-    }
-    return failed > 0 ? 1 : 0;
+    return printFailures(timelineRollups(outcomes)) > 0 ? 1 : 0;
 }
 
 /** Column-aligned table that mirrors itself into a CSV file. */

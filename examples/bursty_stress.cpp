@@ -30,6 +30,8 @@ main(int argc, char **argv)
     const Cycle total = config.getUint("cycles", 150000);
     const double rate = config.getDouble("rate", 1.5);
     std::string model = config.getString("model", "selfsimilar");
+    const std::uint64_t seed = config.getUint("seed", 3);
+    config.rejectUnusedKeys();
 
     PoeSystem sys(cfg);
     std::unique_ptr<TrafficSource> traffic;
@@ -37,7 +39,7 @@ main(int argc, char **argv)
         SelfSimilarTraffic::Params p;
         p.numNodes = cfg.numNodes();
         p.targetRate = rate;
-        p.seed = config.getUint("seed", 3);
+        p.seed = seed;
         traffic = std::make_unique<SelfSimilarTraffic>(p);
         std::printf("self-similar traffic: %d Pareto on/off sources, "
                     "target %.2f pkts/cycle\n",
@@ -47,7 +49,7 @@ main(int argc, char **argv)
         p.numNodes = cfg.numNodes();
         p.burstRate = rate * 3.0;
         p.idleRate = rate / 20.0;
-        p.seed = config.getUint("seed", 3);
+        p.seed = seed;
         traffic = std::make_unique<OnOffTraffic>(p);
         std::printf("on/off traffic: bursts %.2f pkts/cycle, idle "
                     "%.3f, mean rate %.2f\n",

@@ -6,7 +6,7 @@
  * tri-level, modulator only) at a chosen load, and print the
  * latency/power frontier so a designer can pick an operating point.
  *
- * Usage: design_space [rate=2.0] [key=value ...]
+ * Usage: design_space [rate=2.0]
  */
 
 #include <cstdio>
@@ -23,6 +23,7 @@ main(int argc, char **argv)
     Config config;
     config.parseArgs(argc, argv);
     double rate = config.getDouble("rate", 2.0);
+    config.rejectUnusedKeys();
 
     struct Point
     {

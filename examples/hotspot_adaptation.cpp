@@ -27,6 +27,7 @@ main(int argc, char **argv)
 
     const Cycle total = config.getUint("cycles", 200000);
     const Cycle bin = config.getUint("bin", 10000);
+    config.rejectUnusedKeys();
 
     PoeSystem sys(cfg);
     TrafficSpec spec =

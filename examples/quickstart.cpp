@@ -25,6 +25,7 @@ main(int argc, char **argv)
     SystemConfig cfg = SystemConfig::fromConfig(config);
     double rate = config.getDouble("rate", 2.0);
     int packet_len = static_cast<int>(config.getInt("packet_len", 4));
+    config.rejectUnusedKeys();
 
     std::printf("oenet quickstart: %dx%d mesh, %d nodes/rack, "
                 "%s links, %d levels %.1f-%.1f Gb/s\n",

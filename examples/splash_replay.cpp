@@ -45,6 +45,7 @@ main(int argc, char **argv)
     sp.duration = config.getUint("cycles", 150000);
     sp.rateScale = config.getDouble("scale", 0.6);
     sp.seed = config.getUint("seed", 61);
+    config.rejectUnusedKeys();
     TraceData generated = generateSplashTrace(sp);
     std::printf("synthesized %s trace: %zu packets, mean %.1f flits "
                 "over %llu cycles\n",

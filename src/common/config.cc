@@ -157,6 +157,18 @@ Config::unusedKeys() const
     return out;
 }
 
+void
+Config::rejectUnusedKeys() const
+{
+    std::string names;
+    for (const std::string &key : unusedKeys())
+        names += (names.empty() ? "'" : ", '") + key + "'";
+    if (!names.empty())
+        fatal("unknown config key(s) %s: misspelled, or not used by "
+              "this program",
+              names.c_str());
+}
+
 std::vector<std::pair<std::string, std::string>>
 Config::items() const
 {

@@ -50,6 +50,11 @@ class Config
     /** Keys that were set but never read through a getter. */
     std::vector<std::string> unusedKeys() const;
 
+    /** fatal() naming every key in unusedKeys(). Call after the last
+     *  getter, so a misspelled key stops the program instead of
+     *  silently leaving its default in place. */
+    void rejectUnusedKeys() const;
+
     /** All stored key/value pairs, sorted by key. */
     std::vector<std::pair<std::string, std::string>> items() const;
 

@@ -1,5 +1,7 @@
 #include "core/experiment.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "common/rng.hh"
 
@@ -93,9 +95,58 @@ makeTraffic(const TrafficSpec &spec, const SystemConfig &config)
     panic("makeTraffic: bad spec kind");
 }
 
+namespace {
+
+/** Run @p measure cycles in series.bin-cycle steps, appending each
+ *  step's offered rate, normalized power and mean latency of the
+ *  packets ejected in it. */
+void
+runBinned(PoeSystem &sys, Cycle measure, TimelineResult &series)
+{
+    if (series.bin == 0)
+        fatal("runExperiment: a timeline needs bin > 0");
+    double base = sys.network().baselinePowerMw();
+    double prev_integral =
+        sys.network().totalPowerIntegralMwCycles(sys.now());
+    std::uint64_t prev_created = sys.measuredCreated();
+    double prev_lat_sum = sys.latencyStat().sum();
+    std::size_t prev_lat_n = sys.latencyStat().count();
+
+    for (Cycle t = 0; t < measure; t += series.bin) {
+        Cycle step = std::min(series.bin, measure - t);
+        sys.run(step);
+
+        double integral =
+            sys.network().totalPowerIntegralMwCycles(sys.now());
+        series.normalizedPower.push_back(
+            (integral - prev_integral) /
+            (static_cast<double>(step) * base));
+        prev_integral = integral;
+
+        std::uint64_t created = sys.measuredCreated();
+        series.offeredRate.push_back(
+            static_cast<double>(created - prev_created) /
+            static_cast<double>(step));
+        prev_created = created;
+
+        double lat_sum = sys.latencyStat().sum();
+        std::size_t lat_n = sys.latencyStat().count();
+        series.avgLatency.push_back(
+            lat_n > prev_lat_n
+                ? (lat_sum - prev_lat_sum) /
+                      static_cast<double>(lat_n - prev_lat_n)
+                : 0.0);
+        prev_lat_sum = lat_sum;
+        prev_lat_n = lat_n;
+    }
+}
+
+} // namespace
+
 RunMetrics
 runExperiment(const SystemConfig &config, const TrafficSpec &spec,
-              const RunProtocol &protocol, const TraceOptions &trace)
+              const RunProtocol &protocol, const TraceOptions &trace,
+              TimelineResult *series)
 {
     SystemConfig cfg = config;
     // An unset fault seed follows the traffic seed (decorrelated by the
@@ -109,7 +160,10 @@ runExperiment(const SystemConfig &config, const TrafficSpec &spec,
         sys.setTraceSink(trace.sink, cfg.metricsIntervalCycles);
     sys.run(protocol.warmup);
     sys.startMeasurement();
-    sys.run(protocol.measure);
+    if (series)
+        runBinned(sys, protocol.measure, *series);
+    else
+        sys.run(protocol.measure);
     sys.stopMeasurement();
     sys.awaitDrain(protocol.drainLimit);
     RunMetrics m = sys.metrics();

@@ -5,6 +5,12 @@
  * saturation-throughput search (Section 4.1: throughput is the
  * injection rate at which average latency exceeds twice the zero-load
  * latency).
+ *
+ * runExperiment is the only run protocol. Every sweep point, timeline
+ * bin series (Figs. 6-7) and paired run goes through it, so fault-seed
+ * derivation, the drain and the conservation audit apply to each run
+ * alike; a timeline is the same run with its measure phase walked in
+ * bins.
  */
 
 #ifndef OENET_CORE_EXPERIMENT_HH
@@ -77,11 +83,28 @@ struct TraceOptions
     TraceSink *sink = nullptr; ///< not owned; must outlive the run
 };
 
-/** Build a system, run the protocol, return the metrics. */
+/** Series sampled every `bin` cycles over a run's measure phase:
+ *  entry k covers measure cycles [k*bin, (k+1)*bin), the last entry
+ *  whatever remains. */
+struct TimelineResult
+{
+    Cycle bin = 0;
+    std::vector<double> offeredRate;     ///< packets/cycle in each bin
+    std::vector<double> normalizedPower; ///< avg over each bin
+    std::vector<double> avgLatency;      ///< packets ejected in bin
+    RunMetrics metrics;                  ///< whole-run rollup
+};
+
+/** Build a system, run the protocol, return the metrics. An unset
+ *  fault seed (fault.seed == 0) is derived from the traffic seed. With
+ *  @p series set, the measure phase runs in series->bin-cycle steps
+ *  (bin must be > 0) and appends one sample per step; the simulation
+ *  is otherwise the same, so the metrics equal an unbinned run's. */
 RunMetrics runExperiment(const SystemConfig &config,
                          const TrafficSpec &spec,
                          const RunProtocol &protocol,
-                         const TraceOptions &trace = {});
+                         const TraceOptions &trace = {},
+                         TimelineResult *series = nullptr);
 
 /** Latency of a packet on an empty network (avg over a light trickle);
  *  the reference for the 2x saturation rule. */

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +13,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/proc.hh"
 
@@ -39,43 +41,6 @@ crc32(const void *data, std::size_t len)
 }
 
 namespace {
-
-std::string
-formatExact(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
 
 /** Append a body's CRC wrap: {"r": <body>, "crc": "xxxxxxxx"}\n */
 std::string
@@ -190,6 +155,20 @@ struct Parser
                   case 'r':
                     out += '\r';
                     break;
+                  case 'u': {
+                    // jsonString() spells the other control bytes
+                    // \u00XX.
+                    unsigned code = 0;
+                    if (end - p < 4 ||
+                        std::from_chars(p, p + 4, code, 16).ptr != p + 4 ||
+                        code >= 0x20) {
+                        ok = false;
+                        return false;
+                    }
+                    out += static_cast<char>(code);
+                    p += 4;
+                    break;
+                  }
                   default:
                     ok = false;
                     return false;
@@ -289,7 +268,7 @@ struct MetricsWriter
         if constexpr (std::is_same_v<T, bool>) {
             out += value ? "true" : "false";
         } else if constexpr (std::is_floating_point_v<T>) {
-            out += formatExact(value);
+            out += jsonNumber(value);
         } else {
             // Integers stay decimal tokens: a uint64 seed or counter
             // above 2^53 would lose bits through a double.
@@ -403,14 +382,14 @@ SweepJournal::recordLine(const SweepOutcome &outcome)
     std::string body;
     body.reserve(1024);
     body += "{\"index\": " + std::to_string(outcome.index);
-    body += ", \"label\": \"" + jsonEscape(outcome.label) + "\"";
+    body += ", \"label\": " + jsonString(outcome.label);
     body += ", \"seed\": " + std::to_string(outcome.seed);
     body += ", \"status\": \"";
     body += pointStatusName(outcome.status);
     body += "\"";
     body += ", \"attempts\": " + std::to_string(outcome.attempts);
-    body += ", \"error\": \"" + jsonEscape(outcome.error) + "\"";
-    body += ", \"wall_ms\": " + formatExact(outcome.wallMs);
+    body += ", \"error\": " + jsonString(outcome.error);
+    body += ", \"wall_ms\": " + jsonNumber(outcome.wallMs);
     body += ", \"metrics\": {";
     MetricsWriter writer{body};
     forEachRunMetricsField(outcome.metrics, writer);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -10,6 +9,7 @@
 
 #include "common/csv.hh"
 #include "common/fs.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/parallel.hh"
 #include "common/proc.hh"
@@ -26,41 +26,6 @@ elapsedMs(std::chrono::steady_clock::time_point since)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - since)
         .count();
-}
-
-/** Shortest round-trip decimal form, deterministic across runs. */
-std::string
-jsonNumber(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonString(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            out += c;
-        }
-    }
-    out += '"';
-    return out;
 }
 
 /** The manifest's metrics fields, in one place so the JSON and CSV
@@ -106,14 +71,14 @@ struct Attempt
 };
 
 Attempt
-runAttempt(const SweepPoint &staged, std::uint64_t seed,
-           const SweepRunner::PointFn &fn, bool isolate, double budget_ms)
+runAttempt(const std::function<RunMetrics()> &body, bool isolate,
+           double budget_ms)
 {
     Attempt a;
     if (isolate) {
         ChildResult r = runInChild(
             [&](int write_fd) {
-                RunMetrics m = fn(staged, seed);
+                RunMetrics m = body();
                 writeAll(write_fd, &m, sizeof(m));
             },
             budget_ms);
@@ -139,7 +104,7 @@ runAttempt(const SweepPoint &staged, std::uint64_t seed,
         }
     } else {
         try {
-            a.metrics = fn(staged, seed);
+            a.metrics = body();
         } catch (const std::exception &e) {
             a.error = std::string("point body threw: ") + e.what();
             return a;
@@ -207,25 +172,42 @@ SweepRunner::pointSeed(const SweepPoint &point, std::size_t index) const
     return deriveStreamSeed(options_.baseSeed, key);
 }
 
+RunMetrics
+SweepRunner::runPoint(const SweepPoint &point,
+                      TimelineResult *series) const
+{
+    TraceOptions trace;
+    std::unique_ptr<TraceSink> sink;
+    if (point.trace && options_.traceFactory) {
+        sink = options_.traceFactory(point.label);
+        trace.sink = sink.get();
+    }
+    return runExperiment(point.config, point.spec, point.protocol, trace,
+                         series);
+}
+
 SweepReport
 SweepRunner::run(const std::vector<SweepPoint> &points) const
 {
-    return run(points, [this](const SweepPoint &point,
-                              std::uint64_t) -> RunMetrics {
-        TraceOptions trace;
-        std::unique_ptr<TraceSink> sink;
-        if (point.trace && options_.traceFactory) {
-            sink = options_.traceFactory(point.label);
-            trace.sink = sink.get();
-        }
-        return runExperiment(point.config, point.spec, point.protocol,
-                             trace);
+    return execute(points, [this](std::size_t, const SweepPoint &point,
+                                  std::uint64_t) {
+        return runPoint(point, nullptr);
     });
 }
 
 SweepReport
 SweepRunner::run(const std::vector<SweepPoint> &points,
                  const PointFn &fn) const
+{
+    return execute(points, [&fn](std::size_t, const SweepPoint &point,
+                                 std::uint64_t seed) {
+        return fn(point, seed);
+    });
+}
+
+SweepReport
+SweepRunner::execute(const std::vector<SweepPoint> &points,
+                     const IndexedFn &fn) const
 {
     SweepReport report;
     report.jobs = effectiveJobs(options_.jobs, points.size());
@@ -333,8 +315,7 @@ SweepRunner::run(const std::vector<SweepPoint> &points,
             std::uint64_t seed = pointSeed(point, i);
 
             SweepPoint staged = point;
-            if (options_.reseedSpecs)
-                staged.spec.seed = seed;
+            staged.spec.seed = seed;
 
             SweepOutcome out;
             out.index = i;
@@ -352,8 +333,9 @@ SweepRunner::run(const std::vector<SweepPoint> &points,
                 }
 
                 auto attemptStart = std::chrono::steady_clock::now();
-                Attempt a = runAttempt(staged, seed, fn,
-                                       options_.isolate, budgetMs);
+                Attempt a = runAttempt(
+                    [&] { return fn(i, staged, seed); },
+                    options_.isolate, budgetMs);
                 totalWallMs += elapsedMs(attemptStart);
                 out.attempts = attempt;
 
@@ -410,116 +392,57 @@ std::vector<TimelineOutcome>
 runTimelines(const SweepRunner &runner,
              const std::vector<TimelinePoint> &points)
 {
-    const SweepRunner::Options &opts = runner.options();
-    if (!opts.journalPath.empty() || opts.isolate) {
-        warn("sweep: journal/isolate are not supported for timeline "
-             "sweeps (per-bin series are not checkpointable records); "
-             "running without them");
+    SweepRunner::Options opts = runner.options();
+    std::string dropped;
+    auto drop = [&dropped](bool requested, const char *what) {
+        if (requested)
+            dropped += (dropped.empty() ? "" : ", ") + std::string(what);
+    };
+    drop(!opts.journalPath.empty(), "--journal");
+    drop(opts.resume, "--resume");
+    drop(opts.isolate, "--isolate");
+    drop(opts.timeoutMs > 0.0 || opts.timeoutFactor > 0.0,
+         "--timeout-ms/--timeout-factor");
+    if (!dropped.empty()) {
+        warn("sweep: timeline sweeps run without %s (per-bin series are "
+             "neither journal records nor pipe payload)",
+             dropped.c_str());
     }
-    const int maxAttempts = 1 + std::max(0, opts.maxRetries);
+    opts.journalPath.clear();
+    opts.resume = false;
+    opts.isolate = false;
+    opts.timeoutMs = 0.0;
+    opts.timeoutFactor = 0.0;
+    const SweepRunner inProcess(std::move(opts));
 
-    std::vector<TimelineOutcome> outcomes(points.size());
-    std::mutex progressMutex;
-    std::size_t done = 0;
-
-    parallelFor(
-        points.size(), effectiveJobs(opts.jobs, points.size()),
-        [&](std::size_t i, int) {
-            const TimelinePoint &point = points[i];
-            std::uint64_t key = point.seedKey == kSeedKeyFromIndex
-                                    ? static_cast<std::uint64_t>(i)
-                                    : point.seedKey;
-            std::uint64_t seed = deriveStreamSeed(opts.baseSeed, key);
-
-            TrafficSpec spec = point.spec;
-            if (opts.reseedSpecs)
-                spec.seed = seed;
-
-            TimelineOutcome &out = outcomes[i];
-            out.index = i;
-            out.label = point.label;
-            out.seed = seed;
-
-            auto start = std::chrono::steady_clock::now();
-            for (int attempt = 1;; attempt++) {
-                out.attempts = attempt;
-                try {
-                    TraceOptions trace;
-                    std::unique_ptr<TraceSink> sink;
-                    if (point.trace && opts.traceFactory) {
-                        sink = opts.traceFactory(point.label);
-                        trace.sink = sink.get();
-                    }
-                    out.timeline =
-                        runTimeline(point.config, spec, point.total,
-                                    point.bin, point.warmup, trace);
-                    out.status = PointStatus::kOk;
-                    out.error.clear();
-                    break;
-                } catch (const std::exception &e) {
-                    out.error =
-                        std::string("timeline body threw: ") + e.what();
-                } catch (...) {
-                    out.error = "timeline body threw a non-standard "
-                                "exception";
-                }
-                if (attempt >= maxAttempts) {
-                    out.status = PointStatus::kFailed;
-                    out.timeline = TimelineResult{};
-                    warn("sweep: timeline point %zu '%s' failed after "
-                         "%d attempt(s): %s",
-                         i, point.label.c_str(), attempt,
-                         out.error.c_str());
-                    break;
-                }
-                double backoffMs = std::min(
-                    5000.0, opts.retryBackoffMs *
-                                static_cast<double>(1u << (attempt - 1)));
-                if (backoffMs > 0.0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(
-                            backoffMs));
-                }
-            }
-            out.wallMs = elapsedMs(start);
-
-            if (opts.progress) {
-                SweepOutcome progress;
-                progress.index = i;
-                progress.label = point.label;
-                progress.seed = seed;
-                progress.status = out.status;
-                progress.attempts = out.attempts;
-                progress.error = out.error;
-                progress.metrics = out.timeline.metrics;
-                progress.wallMs = out.wallMs;
-                std::lock_guard<std::mutex> lock(progressMutex);
-                done++;
-                opts.progress(progress, done, points.size());
-            }
+    std::vector<SweepPoint> staged(points.size());
+    for (std::size_t i = 0; i < points.size(); i++) {
+        const TimelinePoint &t = points[i];
+        staged[i].label = t.label;
+        staged[i].config = t.config;
+        staged[i].spec = t.spec;
+        staged[i].protocol = RunProtocol{t.warmup, t.total};
+        staged[i].seedKey = t.seedKey;
+        staged[i].trace = t.trace;
+    }
+    std::vector<TimelineResult> series(points.size());
+    SweepReport report = inProcess.execute(
+        staged,
+        [&](std::size_t i, const SweepPoint &point, std::uint64_t) {
+            series[i] = TimelineResult{};
+            series[i].bin = points[i].bin;
+            return series[i].metrics =
+                       inProcess.runPoint(point, &series[i]);
         });
 
-    return outcomes;
-}
-
-std::vector<SweepOutcome>
-timelineRollups(const std::vector<TimelineOutcome> &outcomes)
-{
-    std::vector<SweepOutcome> rollups;
-    rollups.reserve(outcomes.size());
-    for (const TimelineOutcome &t : outcomes) {
-        SweepOutcome o;
-        o.index = t.index;
-        o.label = t.label;
-        o.seed = t.seed;
-        o.status = t.status;
-        o.attempts = t.attempts;
-        o.error = t.error;
-        o.metrics = t.timeline.metrics;
-        o.wallMs = t.wallMs;
-        rollups.push_back(std::move(o));
+    std::vector<TimelineOutcome> outcomes(points.size());
+    for (std::size_t i = 0; i < points.size(); i++) {
+        static_cast<SweepOutcome &>(outcomes[i]) =
+            std::move(report.outcomes[i]);
+        if (outcomes[i].ok())
+            outcomes[i].timeline = std::move(series[i]);
     }
-    return rollups;
+    return outcomes;
 }
 
 std::string

@@ -22,6 +22,12 @@
  *  - --jobs 1 runs the points inline on the calling thread, exactly
  *    the pre-runner serial behavior.
  *
+ * One executor runs every sweep. run() hands it sweep points;
+ * runTimelines() hands it timeline points staged as sweep points,
+ * keeping only their per-bin series beside the outcomes. Seeding,
+ * attempts and retries, the audit verdict, error strings and progress
+ * are therefore the same for both point kinds.
+ *
  * The manifest (JSON or CSV) records per point: parameters, the derived
  * seed, the point's status, and the full metrics record. Wall-clock
  * times are kept in the in-memory SweepOutcome/SweepReport for operator
@@ -48,6 +54,11 @@
  *    driver; the watchdog kills and reaps hung children. The deadline
  *    is only enforceable on isolated points — without isolate a hung
  *    in-process point cannot be safely interrupted.
+ *
+ * Journal, isolation and the watchdog apply to run() only. A timeline
+ * point's per-bin series is neither a journal record nor pipe
+ * payload, so runTimelines() runs in process without them (and says
+ * so once).
  *
  * All manifest/CSV writers publish atomically (write-temp + fsync +
  * rename, common/fs.hh): an interrupted run never leaves a torn file
@@ -143,6 +154,9 @@ struct SweepReport
     bool allOk() const { return failedPoints() == 0; }
 };
 
+struct TimelinePoint;
+struct TimelineOutcome;
+
 class SweepRunner
 {
   public:
@@ -161,11 +175,9 @@ class SweepRunner
     struct Options
     {
         int jobs = 0; ///< worker threads; <= 0 means hardware concurrency
+        /** Each point's TrafficSpec::seed is replaced with the stream
+         *  seed derived from (baseSeed, seedKey). */
         std::uint64_t baseSeed = 1;
-        /** When true (default), each point's TrafficSpec::seed is
-         *  replaced with the derived stream seed. Set false to honor
-         *  the seeds already baked into the specs. */
-        bool reseedSpecs = true;
 
         // Crash safety (see the file comment).
 
@@ -220,6 +232,25 @@ class SweepRunner
     const Options &options() const { return options_; }
 
   private:
+    /** Attempt body that also gets the point's index, so a caller can
+     *  keep per-point output beside the metrics. */
+    using IndexedFn = std::function<RunMetrics(
+        std::size_t index, const SweepPoint &point, std::uint64_t seed)>;
+
+    /** The one point loop: journal and resume, seeding, attempts with
+     *  retry and backoff, the audit verdict, progress. */
+    SweepReport execute(const std::vector<SweepPoint> &points,
+                        const IndexedFn &fn) const;
+
+    /** The standard body: attach the sink a trace-marked point asks
+     *  for, then runExperiment (binned into @p series when set). */
+    RunMetrics runPoint(const SweepPoint &point,
+                        TimelineResult *series) const;
+
+    friend std::vector<TimelineOutcome>
+    runTimelines(const SweepRunner &runner,
+                 const std::vector<TimelinePoint> &points);
+
     Options options_;
 };
 
@@ -240,24 +271,18 @@ struct TimelinePoint
     bool trace = false; ///< see SweepPoint::trace
 };
 
-struct TimelineOutcome
+/** A sweep outcome plus the point's per-bin series. */
+struct TimelineOutcome : SweepOutcome
 {
-    std::size_t index = 0;
-    std::string label;
-    std::uint64_t seed = 0;
-    PointStatus status = PointStatus::kOk;
-    int attempts = 1;
-    std::string error;
     TimelineResult timeline; ///< empty series when status == kFailed
-    double wallMs = 0.0;
 };
 
-/** Shard timeline captures across the runner's worker pool; same
- *  determinism contract as SweepRunner::run. A point whose body
- *  throws is retried per Options::maxRetries, then recorded failed;
- *  journal/isolate options do not apply to timeline sweeps (their
- *  per-bin series are not checkpointable records) and draw a one-time
- *  warn() if requested. */
+/** Run each point as runExperiment over RunProtocol{warmup, total}
+ *  with its measure phase binned, through SweepRunner::run's executor:
+ *  same seeds, retries, audit verdict and progress as a sweep point.
+ *  The journal, resume, isolation and timeout options do not apply
+ *  (see the file comment); a runner that sets them draws one warn()
+ *  naming what was dropped. */
 std::vector<TimelineOutcome>
 runTimelines(const SweepRunner &runner,
              const std::vector<TimelinePoint> &points);
@@ -296,10 +321,12 @@ void writeSweepManifestCsv(const std::string &path,
 double sweepPointBudgetMs(const SweepRunner::Options &options,
                           std::vector<double> completed_wall_ms);
 
-/** Adapt timeline outcomes (their whole-run rollups) to the manifest
- *  writers. */
-std::vector<SweepOutcome>
-timelineRollups(const std::vector<TimelineOutcome> &outcomes);
+/** Timeline outcomes without their series, for the manifest writers. */
+inline std::vector<SweepOutcome>
+timelineRollups(const std::vector<TimelineOutcome> &outcomes)
+{
+    return {outcomes.begin(), outcomes.end()};
+}
 
 } // namespace oenet
 

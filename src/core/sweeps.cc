@@ -28,58 +28,8 @@ runTimeline(const SystemConfig &config, const TrafficSpec &spec,
 {
     TimelineResult result;
     result.bin = bin;
-
-    PoeSystem sys(config);
-    sys.setTraffic(makeTraffic(spec, config));
-    if (trace.sink)
-        sys.setTraceSink(trace.sink, config.metricsIntervalCycles);
-    if (warmup > 0)
-        sys.run(warmup);
-    sys.startMeasurement();
-
-    double base = sys.network().baselinePowerMw();
-    double prev_integral =
-        sys.network().totalPowerIntegralMwCycles(sys.now());
-    std::uint64_t prev_created = sys.measuredCreated();
-    double prev_lat_sum = sys.latencyStat().sum();
-    std::size_t prev_lat_n = sys.latencyStat().count();
-
-    for (Cycle t = 0; t < total; t += bin) {
-        Cycle step = bin < total - t ? bin : total - t;
-        sys.run(step);
-
-        double integral =
-            sys.network().totalPowerIntegralMwCycles(sys.now());
-        result.normalizedPower.push_back(
-            (integral - prev_integral) /
-            (static_cast<double>(step) * base));
-        prev_integral = integral;
-
-        std::uint64_t created = sys.measuredCreated();
-        result.offeredRate.push_back(
-            static_cast<double>(created - prev_created) /
-            static_cast<double>(step));
-        prev_created = created;
-
-        double lat_sum = sys.latencyStat().sum();
-        std::size_t lat_n = sys.latencyStat().count();
-        result.avgLatency.push_back(
-            lat_n > prev_lat_n
-                ? (lat_sum - prev_lat_sum) /
-                      static_cast<double>(lat_n - prev_lat_n)
-                : 0.0);
-        prev_lat_sum = lat_sum;
-        prev_lat_n = lat_n;
-    }
-
-    sys.stopMeasurement();
-    sys.awaitDrain(300000);
-    result.metrics = sys.metrics();
-    if (config.conservationAuditEnabled()) {
-        if (trace.sink)
-            sys.setTraceSink(nullptr);
-        result.metrics.auditFailures = sys.auditConservation();
-    }
+    result.metrics = runExperiment(config, spec, RunProtocol{warmup, total},
+                                   trace, &result);
     return result;
 }
 

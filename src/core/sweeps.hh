@@ -3,7 +3,8 @@
  * Shared drivers for the figure-regeneration benches: paired
  * (power-aware vs. baseline) runs, and time-series capture of
  * injection rate / normalized power / rolling latency over a run —
- * the raw series behind Figs. 6 and 7.
+ * the raw series behind Figs. 6 and 7. Both are thin calls into
+ * runExperiment, the one run protocol.
  */
 
 #ifndef OENET_CORE_SWEEPS_HH
@@ -31,16 +32,8 @@ PairedResult runPaired(const SystemConfig &config,
 /** Copy of @p config with power-awareness disabled (the baseline). */
 SystemConfig baselineConfig(const SystemConfig &config);
 
-/** Time series sampled every @p bin cycles over one run. */
-struct TimelineResult
-{
-    Cycle bin = 0;
-    std::vector<double> offeredRate;     ///< packets/cycle in each bin
-    std::vector<double> normalizedPower; ///< avg over each bin
-    std::vector<double> avgLatency;      ///< packets ejected in bin
-    RunMetrics metrics;                  ///< whole-run rollup
-};
-
+/** runExperiment over RunProtocol{warmup, total} (default drain
+ *  limit), its measure phase sampled every @p bin cycles. */
 TimelineResult runTimeline(const SystemConfig &config,
                            const TrafficSpec &spec, Cycle total,
                            Cycle bin, Cycle warmup = 0,

@@ -35,11 +35,12 @@
  *    delayed (voaDelayFactor x nominal) or lost entirely; a lost
  *    command is re-issued after voaTimeoutCycles.
  *
- * Reliability layer: flits carry a CRC-16 (fault/crc.hh); a corrupted
- * flit fails its check at the receiver, which NACKs; the sender holds
- * each flit in a retransmission buffer until ACKed and replays on NACK
- * after a bounded exponential backoff (retryBackoffBase doubling up to
- * retryBackoffCap cycles).
+ * Reliability layer: flits carry no CRC field. Each send draws
+ * corruption from the link's BER and marks the in-flight entry
+ * corrupt, standing in for a failed check at the receiver, which
+ * NACKs; the sender holds each flit in a retransmission buffer until
+ * ACKed and replays on NACK after a bounded exponential backoff
+ * (retryBackoffBase doubling up to retryBackoffCap cycles).
  */
 
 #ifndef OENET_FAULT_FAULT_HH

@@ -7,21 +7,12 @@
 #include <string_view>
 
 #include "common/fs.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 
 namespace oenet {
 
 namespace {
-
-/** Shortest round-trip decimal form; deterministic across runs and
- *  thread counts (same contract as the sweep-manifest writer). */
-std::string
-num(double v)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 std::string
 u64(std::uint64_t v)
@@ -29,25 +20,11 @@ u64(std::uint64_t v)
     return std::to_string(v);
 }
 
-std::string
-quoted(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    out += '"';
-    return out;
-}
-
 /**
  * One JSONL line, formatted into a fixed stack buffer and handed to the
- * stream in a single write (end()). Numbers go through std::to_chars:
- * integers in plain decimal, as ostream inserts them, and doubles with
- * chars_format::general at precision 17, which the standard defines as
- * printf's "%.17g" in the C locale — the same bytes num() produces. A
+ * stream in a single write (end()). Integers go through std::to_chars
+ * in plain decimal, as ostream inserts them, and doubles through
+ * formatJsonNumber(), the "%.17g" form every JSON writer shares. A
  * line longer than the buffer (only power snapshots with many VCs can
  * be) is written in pieces.
  */
@@ -77,9 +54,7 @@ class JsonlLine
     JsonlLine &operator<<(double v)
     {
         room(kNumberMax);
-        char *end = std::to_chars(buf_ + len_, buf_ + kCap, v,
-                                  std::chars_format::general, 17)
-                        .ptr;
+        char *end = formatJsonNumber(buf_ + len_, buf_ + kCap, v);
         len_ = static_cast<std::size_t>(end - buf_);
         return *this;
     }
@@ -102,9 +77,8 @@ class JsonlLine
     }
 
   private:
-    // Longest %.17g form is 24 chars ("-2.2250738585072014e-308"); a
-    // 64-bit integer takes at most 20.
-    static constexpr std::size_t kNumberMax = 32;
+    // Room for a double (kJsonNumberMax) or a 64-bit integer (20).
+    static constexpr std::size_t kNumberMax = kJsonNumberMax;
     static constexpr std::size_t kCap = 1024;
 
     void room(std::size_t n)
@@ -204,7 +178,7 @@ JsonlTraceSink::beginRun(const std::vector<TraceLinkInfo> &links)
         .end();
     for (const TraceLinkInfo &l : links) {
         (JsonlLine(os_) << "{\"type\": \"link\", \"id\": " << l.id
-                        << ", \"name\": " << quoted(l.name)
+                        << ", \"name\": " << jsonString(l.name)
                         << ", \"kind\": \"" << l.kind << "\"}")
             .end();
     }
@@ -372,7 +346,7 @@ ChromeTraceSink::beginRun(const std::vector<TraceLinkInfo> &links)
     for (const TraceLinkInfo &l : links) {
         os_ << ",\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
                "0, \"tid\": "
-            << l.id << ", \"args\": {\"name\": " << quoted(l.name)
+            << l.id << ", \"args\": {\"name\": " << jsonString(l.name)
             << "}}";
     }
 }
@@ -394,11 +368,11 @@ void
 ChromeTraceSink::dvsDecision(const DvsDecisionEvent &e)
 {
     open(e.decision, "dvs", "i", e.at, 0, e.linkId);
-    os_ << ", \"s\": \"t\", \"args\": {\"lu\": " << num(e.lu)
-        << ", \"avg_lu\": " << num(e.avgLu)
-        << ", \"bu\": " << num(e.bu)
-        << ", \"th_low\": " << num(e.thLow)
-        << ", \"th_high\": " << num(e.thHigh)
+    os_ << ", \"s\": \"t\", \"args\": {\"lu\": " << jsonNumber(e.lu)
+        << ", \"avg_lu\": " << jsonNumber(e.avgLu)
+        << ", \"bu\": " << jsonNumber(e.bu)
+        << ", \"th_low\": " << jsonNumber(e.thLow)
+        << ", \"th_high\": " << jsonNumber(e.thHigh)
         << ", \"level\": " << e.level
         << ", \"backlog_escalated\": " << (e.backlogEscalated ? 1 : 0)
         << ", \"downgrade_vetoed\": " << (e.downgradeVetoed ? 1 : 0)
@@ -433,7 +407,7 @@ ChromeTraceSink::faultEvent(const FaultEvent &e)
     std::snprintf(name, sizeof(name), "fault:%s", e.kind);
     open(name, "fault", "i", e.at, 0, e.linkId);
     os_ << ", \"s\": \"t\", \"args\": {\"attempts\": " << e.attempts
-        << ", \"aux\": " << num(e.aux) << "}}";
+        << ", \"aux\": " << jsonNumber(e.aux) << "}}";
 }
 
 void
@@ -445,18 +419,19 @@ ChromeTraceSink::powerSnapshot(const PowerSnapshotEvent &e)
         if (k > 0)
             os_ << ", ";
         os_ << "\"" << e.kinds[k].kind
-            << "\": " << num(e.kinds[k].powerMw);
+            << "\": " << jsonNumber(e.kinds[k].powerMw);
     }
     os_ << "}}";
     open("normalized_power", "power", "C", e.at, 2, 0);
-    os_ << ", \"args\": {\"value\": " << num(e.normalizedPower) << "}}";
+    os_ << ", \"args\": {\"value\": " << jsonNumber(e.normalizedPower)
+        << "}}";
     open("mean_level", "power", "C", e.at, 2, 0);
     os_ << ", \"args\": {";
     for (int k = 0; k < e.numKinds; k++) {
         if (k > 0)
             os_ << ", ";
         os_ << "\"" << e.kinds[k].kind
-            << "\": " << num(e.kinds[k].meanLevel);
+            << "\": " << jsonNumber(e.kinds[k].meanLevel);
     }
     os_ << "}}";
 }

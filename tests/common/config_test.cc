@@ -114,6 +114,20 @@ TEST(Config, UnusedKeysTracked)
     EXPECT_EQ(unused[0], "unused");
 }
 
+TEST(ConfigDeath, RejectUnusedKeysNamesEveryUnreadKey)
+{
+    Config c;
+    c.set("rate", "1");
+    c.set("polcy.window", "500");
+    c.set("sed", "4");
+    (void)c.getDouble("rate", 0.0);
+    EXPECT_EXIT(c.rejectUnusedKeys(), ::testing::ExitedWithCode(1),
+                "'polcy.window', 'sed'");
+    (void)c.getUint("polcy.window", 0);
+    (void)c.getUint("sed", 0);
+    c.rejectUnusedKeys(); // every key read: returns
+}
+
 TEST(Config, LoadFileParsesCommentsAndBlanks)
 {
     std::string path = testing::TempDir() + "/oenet_config_test.cfg";

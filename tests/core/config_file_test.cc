@@ -38,6 +38,8 @@ TEST(ConfigFiles, PaperDefaultsMatchBuiltinDefaults)
     Config raw;
     raw.loadFile(dir + "/paper_defaults.cfg");
     SystemConfig c = SystemConfig::fromConfig(raw);
+    EXPECT_EQ(raw.unusedKeys(), std::vector<std::string>{})
+        << "every key in the file must be one fromConfig reads";
     SystemConfig d; // built-in defaults
     EXPECT_EQ(c.meshX, d.meshX);
     EXPECT_EQ(c.clusterSize, d.clusterSize);
@@ -64,6 +66,8 @@ TEST(ConfigFiles, AggressivePowerVariantParses)
     Config raw;
     raw.loadFile(dir + "/aggressive_power.cfg");
     SystemConfig c = SystemConfig::fromConfig(raw);
+    EXPECT_EQ(raw.unusedKeys(), std::vector<std::string>{})
+        << "every key in the file must be one fromConfig reads";
     EXPECT_EQ(c.scheme, LinkScheme::kVcsel);
     EXPECT_DOUBLE_EQ(c.brMinGbps, 3.3);
     EXPECT_DOUBLE_EQ(c.policy.thHighUncongested, 0.65);

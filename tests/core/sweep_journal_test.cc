@@ -10,10 +10,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/sweep_journal.hh"
+#include "trace/trace_sinks.hh"
 
 using namespace oenet;
 
@@ -156,6 +158,105 @@ TEST_F(JournalFile, RoundTripIsExact)
     // Re-serializing a loaded record reproduces the exact line.
     EXPECT_EQ(SweepJournal::recordLine(l.outcomes[0]),
               SweepJournal::recordLine(sampleOutcome(0)));
+}
+
+namespace {
+
+/** Bytes 0x01-0x7f in order: every control byte and every printable
+ *  ASCII character, quote and backslash included. */
+std::string
+everyAsciiByte()
+{
+    std::string s;
+    for (int c = 0x01; c <= 0x7f; c++)
+        s += static_cast<char>(c);
+    return s;
+}
+
+/** The JSON escape each control byte must take in any writer. */
+std::string
+escapedControl(char c)
+{
+    switch (c) {
+      case '\n':
+        return "\\n";
+      case '\r':
+        return "\\r";
+      case '\t':
+        return "\\t";
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x",
+                      static_cast<unsigned>(c));
+        return buf;
+      }
+    }
+}
+
+/** True when some line of @p text holds a raw byte below 0x20. */
+bool
+hasRawControlByte(const std::string &text)
+{
+    for (char c : text) {
+        if (c != '\n' && static_cast<unsigned char>(c) < 0x20)
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
+TEST_F(JournalFile, EveryAsciiByteRoundTripsAndControlBytesEscape)
+{
+    path_ = scratchPath("ascii");
+    SweepOutcome o = sampleOutcome(2);
+    o.label = "label:" + everyAsciiByte();
+    o.error = "error:" + everyAsciiByte();
+    {
+        SweepJournal j;
+        j.open(path_, SweepJournal::Header{1, 1}, 0);
+        j.append(o);
+        j.close();
+    }
+    SweepJournal::Loaded l = SweepJournal::load(path_);
+    ASSERT_EQ(l.outcomes.size(), 1u);
+    EXPECT_EQ(l.droppedLines, 0u);
+    EXPECT_EQ(l.outcomes[0].label, o.label);
+    EXPECT_EQ(l.outcomes[0].error, o.error);
+    EXPECT_EQ(SweepJournal::recordLine(l.outcomes[0]),
+              SweepJournal::recordLine(o));
+
+    // The manifest and both trace sinks escape the same bytes.
+    std::ostringstream jsonl, chrome;
+    {
+        JsonlTraceSink sink(jsonl);
+        sink.beginRun({{0, o.label, "injection"}});
+        sink.endRun(1);
+    }
+    {
+        ChromeTraceSink sink(chrome);
+        sink.beginRun({{0, o.label, "injection"}});
+        sink.endRun(1);
+    }
+    const std::pair<const char *, std::string> outputs[] = {
+        {"journal", SweepJournal::recordLine(o)},
+        {"manifest", sweepManifestJson("t", 1, {o})},
+        {"jsonl trace", jsonl.str()},
+        {"chrome trace", chrome.str()},
+    };
+    for (const auto &[name, out] : outputs) {
+        EXPECT_FALSE(hasRawControlByte(out)) << name;
+        for (char c = 0x01; c < 0x20; c++) {
+            EXPECT_NE(out.find(escapedControl(c)), std::string::npos)
+                << name << ": byte " << static_cast<int>(c);
+        }
+        EXPECT_NE(out.find("!\\\"#$%&'()*+,-./0123456789"),
+                  std::string::npos)
+            << name;
+        EXPECT_NE(out.find("[\\\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\x7f"),
+                  std::string::npos)
+            << name;
+    }
 }
 
 TEST_F(JournalFile, CorruptedByteEndsTheValidPrefix)

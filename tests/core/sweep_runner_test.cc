@@ -14,6 +14,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -134,13 +135,6 @@ TEST(SweepRunner, ReseedSpecsReplacesSpecSeed)
             return RunMetrics{};
         });
     EXPECT_EQ(seen.size(), points.size());
-
-    opts.reseedSpecs = false;
-    SweepRunner(opts).run(
-        points, [&](const SweepPoint &p, std::uint64_t) {
-            EXPECT_EQ(p.spec.seed, 12345u) << "spec left alone";
-            return RunMetrics{};
-        });
 }
 
 TEST(SweepRunner, CustomPointFnAndOutcomeFields)
@@ -228,6 +222,73 @@ TEST(SweepRunner, TimelinesDeterministicAcrossThreadCounts)
     std::string a = sweepManifestJson("t", 1, timelineRollups(serial));
     std::string b = sweepManifestJson("t", 1, timelineRollups(parallel));
     EXPECT_EQ(a, b);
+}
+
+namespace {
+
+/** Every RunMetrics field as (name, exact text): %.17g for doubles,
+ *  decimal for integers. */
+std::vector<std::pair<std::string, std::string>>
+metricFields(const RunMetrics &m)
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    forEachRunMetricsField(m, [&](const char *name, const auto &v) {
+        if constexpr (std::is_floating_point_v<
+                          std::remove_cvref_t<decltype(v)>>) {
+            char buf[40];
+            std::snprintf(buf, sizeof(buf), "%.17g", v);
+            out.emplace_back(name, buf);
+        } else {
+            out.emplace_back(name, std::to_string(v));
+        }
+    });
+    return out;
+}
+
+} // namespace
+
+TEST(SweepRunner, TimelinePointMatchesSweepPointOnFaultedFabric)
+{
+    // A timeline is the point protocol with its measure phase walked
+    // in bins: with bin dividing the measure window, its whole-run
+    // metrics equal the same point's, fault streams included.
+    SystemConfig c;
+    c.meshX = 3;
+    c.meshY = 3;
+    c.clusterSize = 2;
+    c.routing = RoutingAlgo::kWestFirst;
+    c.fault.enabled = true;
+    c.fault.berFloor = 1e-3;
+
+    SweepPoint point;
+    point.label = "faulted";
+    point.config = c;
+    point.spec = TrafficSpec::uniform(0.5, 4);
+    point.protocol.warmup = 500;
+    point.protocol.measure = 4000;
+
+    TimelinePoint timeline;
+    timeline.label = point.label;
+    timeline.config = c;
+    timeline.spec = point.spec;
+    timeline.warmup = 500;
+    timeline.total = 4000;
+    timeline.bin = 1000;
+
+    SweepRunner::Options opts;
+    opts.jobs = 1;
+    opts.baseSeed = 9;
+    SweepRunner runner(opts);
+    SweepReport report = runner.run({point});
+    std::vector<TimelineOutcome> series = runTimelines(runner, {timeline});
+
+    ASSERT_TRUE(report.outcomes[0].ok());
+    ASSERT_EQ(series[0].status, PointStatus::kOk);
+    EXPECT_EQ(series[0].seed, report.outcomes[0].seed);
+    EXPECT_EQ(series[0].timeline.offeredRate.size(), 4u);
+    EXPECT_GT(report.outcomes[0].metrics.flitsCorrupted, 0u);
+    EXPECT_EQ(metricFields(series[0].timeline.metrics),
+              metricFields(report.outcomes[0].metrics));
 }
 
 // ---------------------------------------------------------------------
@@ -356,6 +417,44 @@ TEST(SweepRobustness, AuditFailureIsFailedWithoutRetry)
     EXPECT_EQ(bad.attempts, 1);
     EXPECT_EQ(calls.load(), 1);
     EXPECT_NE(bad.error.find("conservation audit"), std::string::npos);
+}
+
+TEST(SweepRobustness, ThrowingTraceFactoryFailsAlikeOnBothPaths)
+{
+    SweepRunner::Options opts = fastRetryOpts();
+    opts.maxRetries = 1;
+    opts.traceFactory =
+        [](const std::string &label) -> std::unique_ptr<TraceSink> {
+        throw std::runtime_error("cannot open a trace for " + label);
+    };
+
+    SweepPoint point;
+    point.label = "traced";
+    point.config = smallConfig();
+    point.spec = TrafficSpec::uniform(0.3, 4);
+    point.protocol.warmup = 100;
+    point.protocol.measure = 400;
+    point.trace = true;
+
+    TimelinePoint timeline;
+    timeline.label = point.label;
+    timeline.config = point.config;
+    timeline.spec = point.spec;
+    timeline.warmup = 100;
+    timeline.total = 400;
+    timeline.bin = 100;
+    timeline.trace = true;
+
+    SweepRunner runner(opts);
+    SweepOutcome p = runner.run({point}).outcomes[0];
+    std::vector<TimelineOutcome> t = runTimelines(runner, {timeline});
+    EXPECT_EQ(p.status, PointStatus::kFailed);
+    EXPECT_EQ(p.attempts, 2);
+    EXPECT_NE(p.error.find("cannot open a trace for traced"),
+              std::string::npos);
+    EXPECT_EQ(t[0].status, p.status);
+    EXPECT_EQ(t[0].attempts, p.attempts);
+    EXPECT_EQ(t[0].error, p.error);
 }
 
 TEST(SweepRobustness, IsolatedCrashIsContained)
