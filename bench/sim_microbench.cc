@@ -199,9 +199,12 @@ BENCHMARK(BM_KernelWakePark);
 // A hand-wired router held at saturation: four direction inputs feed
 // endless 4-flit packets with rotating destinations while the harness
 // plays upstream (respects credits) and downstream (returns credits).
-// Every tick runs the full allocator walk — SA nomination masks, VA
-// request collection, switch traversal — over the SoA hot state, which
-// is exactly the loaded path the fig7 benches spend their time in.
+// Every tick runs every stage (switch traversal, SA nomination and
+// grant, VA request collection, route computation) over the SoA hot
+// state, and each stage walks only the set bits of its mask: the four
+// fed inputs of six, the outputs they requested, and the VCs waiting
+// in RC or VA. This is the loaded path the fig7 benches spend their
+// time in.
 void
 BM_LoadedRouterTick(benchmark::State &state)
 {

@@ -50,7 +50,6 @@ Router::Router(std::string name, int router_id, const Topology &topo,
     saArb_.resize(nports);
     vaArb_.resize(nports);
     saInputArb_.resize(nports);
-    saCandidateVc_.assign(nports, kInvalid);
 
     for (int p = 0; p < ports; p++) {
         saArb_[static_cast<std::size_t>(p)].resize(ports);
@@ -224,6 +223,17 @@ Router::bufferedFor(int port) const
     return n;
 }
 
+int
+Router::totalBufferedFlits() const
+{
+    // Summed from portOcc_, not walked over occMask_, so the
+    // conservation audit still counts a flit whose mask bit is lost.
+    int n = std::popcount(latchMask_);
+    for (std::int32_t occ : portOcc_)
+        n += occ;
+    return n;
+}
+
 void
 Router::applyCredits(Cycle now)
 {
@@ -261,12 +271,10 @@ Router::stageSwitchTraversal(Cycle now)
             link->accept(now, latch_[s]);
             latchFull_[s] = 0;
             latchMask_ &= ~(1ull << q);
-            latchCount_--;
         } else if (link->isFailed()) {
             // The link died with this flit waiting; it is lost.
             latchFull_[s] = 0;
             latchMask_ &= ~(1ull << q);
-            latchCount_--;
             droppedDeadPort_++;
         }
         // Otherwise the flit waits in the latch; SA skips this port.
@@ -276,19 +284,16 @@ Router::stageSwitchTraversal(Cycle now)
 void
 Router::stageSwitchAllocation(Cycle now)
 {
-    int ports = numPorts();
     int vcs = params_.numVcs;
 
-    // Stage 1: each input port nominates one of its VCs. Requests per
-    // output port are accumulated as bit masks for stage 2.
-    std::uint64_t port_requests[kMaxPorts] = {};
-    bool any = false;
-    for (int p = 0; p < ports; p++) {
-        // A port with no buffered flits can nominate nothing.
-        if (portOcc_[static_cast<std::size_t>(p)] == 0) {
-            saCandidateVc_[static_cast<std::size_t>(p)] = kInvalid;
-            continue;
-        }
+    // Stage 1: each occupied input port nominates one of its VCs.
+    // Requests per output port are accumulated as bit masks for stage
+    // 2; requested_outputs says which port_requests words stage 1 wrote.
+    std::uint64_t port_requests[kMaxPorts];
+    std::int8_t candidate_vc[kMaxPorts] = {}; ///< winner VC per input
+    std::uint64_t requested_outputs = 0;
+    for (std::uint64_t m = occMask_; m != 0; m &= m - 1) {
+        int p = std::countr_zero(m);
         int base = p * vcs;
         std::uint64_t req = 0;
         for (int v = 0; v < vcs; v++) {
@@ -310,34 +315,37 @@ Router::stageSwitchAllocation(Cycle now)
             }
             req |= 1ull << v;
         }
-        int winner =
-            req ? saInputArb_[static_cast<std::size_t>(p)].pick(req)
-                : kInvalid;
-        saCandidateVc_[static_cast<std::size_t>(p)] = winner;
-        if (winner != kInvalid) {
-            int q = vcOutPort_[static_cast<std::size_t>(base + winner)];
-            port_requests[q] |= 1ull << p;
-            any = true;
+        if (req == 0)
+            continue;
+        int winner = saInputArb_[static_cast<std::size_t>(p)].pick(req);
+        candidate_vc[p] = static_cast<std::int8_t>(winner);
+        int q = vcOutPort_[static_cast<std::size_t>(base + winner)];
+        if (!(requested_outputs >> q & 1)) {
+            requested_outputs |= 1ull << q;
+            port_requests[q] = 0;
         }
+        port_requests[q] |= 1ull << p;
     }
-    if (!any)
-        return;
 
-    // Stage 2: each output port picks among nominating input ports.
-    for (int q = 0; q < ports; q++) {
+    // Stage 2: each requested output port picks among its nominating
+    // input ports. An input nominates one VC, hence one output, so no
+    // input is granted twice.
+    for (std::uint64_t m = requested_outputs; m != 0; m &= m - 1) {
+        int q = std::countr_zero(m);
         auto qs = static_cast<std::size_t>(q);
-        if (port_requests[q] == 0 || latchFull_[qs])
+        if (latchFull_[qs])
             continue;
         int p = saArb_[qs].pick(port_requests[q]);
-        int v = saCandidateVc_[static_cast<std::size_t>(p)];
-        auto &in = inputs_[static_cast<std::size_t>(p)];
+        int v = candidate_vc[p];
+        auto ps = static_cast<std::size_t>(p);
+        auto &in = inputs_[ps];
         int fi = p * vcs + v;
         auto fs = static_cast<std::size_t>(fi);
 
         Flit flit = buffers_.pop(fi);
-        bufferedFlits_--;
-        portOcc_[static_cast<std::size_t>(p)]--;
-        in.occupancy.update(now, portOcc_[static_cast<std::size_t>(p)]);
+        if (--portOcc_[ps] == 0)
+            occMask_ &= ~(1ull << p);
+        in.occupancy.update(now, portOcc_[ps]);
         vcLastActivity_[fs] = now;
         int ov = vcOutVc_[fs];
         OpticalLink *olink = outLink_[qs];
@@ -352,7 +360,6 @@ Router::stageSwitchAllocation(Cycle now)
             latch_[qs] = flit;
             latchFull_[qs] = 1;
             latchMask_ |= 1ull << q;
-            latchCount_++;
             outCredits_[static_cast<std::size_t>(q * vcs + ov)]--;
             flitsSwitched_++;
         }
@@ -363,9 +370,6 @@ Router::stageSwitchAllocation(Cycle now)
         // sent over the input link).
         if (in.upstream != nullptr && !(flit.isPoison() && inputFailed(in)))
             in.upstream->returnCredit(in.upstreamPort, v, now);
-
-        // This input port consumed its switch slot this cycle.
-        saCandidateVc_[static_cast<std::size_t>(p)] = kInvalid;
 
         if (flit.isTail()) {
             outAllocated_[static_cast<std::size_t>(q * vcs + ov)] = 0;
@@ -379,7 +383,7 @@ Router::stageSwitchAllocation(Cycle now)
                     panic("Router %s: non-head after tail on in %d vc %d",
                           name_.c_str(), p, v);
                 vcState_[fs] = VcState::kRouting;
-                routingCount_++;
+                routingMask_ |= 1ull << fi;
             }
         }
     }
@@ -389,22 +393,25 @@ void
 Router::stageVcAllocation(Cycle now)
 {
     (void)now;
-    int ports = numPorts();
     int vcs = params_.numVcs;
 
     // Collect requesting input VCs (flattened index p*vcs + v) per
-    // requested output port — a single walk over the flat state array.
-    std::uint64_t requests[kMaxPorts] = {};
-    int flats = ports * vcs;
-    for (int f = 0; f < flats; f++) {
-        auto fs = static_cast<std::size_t>(f);
-        if (vcState_[fs] == VcState::kVcAlloc)
-            requests[vcOutPort_[fs]] |= 1ull << f;
+    // requested output port from the kVcAlloc mask; requested_outputs
+    // says which requests words were written.
+    std::uint64_t requests[kMaxPorts];
+    std::uint64_t requested_outputs = 0;
+    for (std::uint64_t m = vcAllocMask_; m != 0; m &= m - 1) {
+        int f = std::countr_zero(m);
+        int q = vcOutPort_[static_cast<std::size_t>(f)];
+        if (!(requested_outputs >> q & 1)) {
+            requested_outputs |= 1ull << q;
+            requests[q] = 0;
+        }
+        requests[q] |= 1ull << f;
     }
 
-    for (int q = 0; q < ports; q++) {
-        if (requests[q] == 0)
-            continue;
+    for (std::uint64_t m = requested_outputs; m != 0; m &= m - 1) {
+        int q = std::countr_zero(m);
         auto qs = static_cast<std::size_t>(q);
 
         if (outLink_[qs] != nullptr && outLink_[qs]->isFailed()) {
@@ -419,7 +426,7 @@ Router::stageVcAllocation(Cycle now)
                 auto ws = static_cast<std::size_t>(winner);
                 vcOutVc_[ws] = 0;
                 vcState_[ws] = VcState::kActive;
-                vcAllocCount_--;
+                vcAllocMask_ &= ~(1ull << winner);
                 activeVcCount_++;
                 requests[q] &= ~(1ull << winner);
             }
@@ -452,7 +459,7 @@ Router::stageVcAllocation(Cycle now)
             auto ws = static_cast<std::size_t>(winner);
             vcOutVc_[ws] = static_cast<std::int16_t>(ov);
             vcState_[ws] = VcState::kActive;
-            vcAllocCount_--;
+            vcAllocMask_ &= ~(1ull << winner);
             activeVcCount_++;
             outAllocated_[static_cast<std::size_t>(qbase + ov)] = 1;
             requests[q] &= ~(1ull << winner);
@@ -521,11 +528,9 @@ void
 Router::stageRouteComputation(Cycle now)
 {
     (void)now;
-    int flats = numPorts() * params_.numVcs;
-    for (int f = 0; f < flats; f++) {
+    for (std::uint64_t m = routingMask_; m != 0; m &= m - 1) {
+        int f = std::countr_zero(m);
         auto fs = static_cast<std::size_t>(f);
-        if (vcState_[fs] != VcState::kRouting)
-            continue;
         if (buffers_.empty(f) || !buffers_.front(f).isHead())
             panic("Router %s: routing state without head flit",
                   name_.c_str());
@@ -533,9 +538,10 @@ Router::stageRouteComputation(Cycle now)
         vcOutPort_[fs] = static_cast<std::int16_t>(route.port.value());
         vcOutVcMask_[fs] = vcMaskForClass(route.vcClass);
         vcState_[fs] = VcState::kVcAlloc;
-        routingCount_--;
-        vcAllocCount_++;
     }
+    // Every routing VC has moved to VC allocation.
+    vcAllocMask_ |= routingMask_;
+    routingMask_ = 0;
 }
 
 void
@@ -559,12 +565,12 @@ Router::drainArrivals(Cycle now)
                     panic("Router %s: body flit into idle in %d vc %d",
                           name_.c_str(), p, v);
                 vcState_[fs] = VcState::kRouting;
-                routingCount_++;
+                routingMask_ |= 1ull << fi;
             }
             buffers_.push(fi, flit);
             vcLastActivity_[fs] = now;
-            bufferedFlits_++;
             portOcc_[static_cast<std::size_t>(p)]++;
+            occMask_ |= 1ull << p;
             inputs_[static_cast<std::size_t>(p)].occupancy.update(
                 now, portOcc_[static_cast<std::size_t>(p)]);
         };
@@ -612,8 +618,8 @@ Router::reclaimOrphans(Cycle now)
             tail.flags = Flit::kTailFlag | Flit::kPoisonFlag;
             buffers_.push(fi, tail);
             vcLastActivity_[fs] = now;
-            bufferedFlits_++;
             portOcc_[static_cast<std::size_t>(p)]++;
+            occMask_ |= 1ull << p;
             in.occupancy.update(now,
                                 portOcc_[static_cast<std::size_t>(p)]);
             poisoned_++;
@@ -648,13 +654,13 @@ Router::tick(Cycle now)
 {
     if (!pendingCredits_.empty())
         applyCredits(now);
-    if (latchCount_ > 0)
+    if (latchMask_ != 0)
         stageSwitchTraversal(now);
-    if (bufferedFlits_ > 0)
+    if (occMask_ != 0)
         stageSwitchAllocation(now);
-    if (vcAllocCount_ > 0)
+    if (vcAllocMask_ != 0)
         stageVcAllocation(now);
-    if (routingCount_ > 0)
+    if (routingMask_ != 0)
         stageRouteComputation(now);
     drainArrivals(now);
     if (orphanTimeout_ != 0 && (now & 1023) == 0)
@@ -669,9 +675,8 @@ Router::nextWakeCycle(Cycle now)
     // Any pipeline population keeps the router in the per-cycle pass.
     // activeVcCount_ matters even with empty buffers: an open wormhole
     // may still owe flits (or a poison tail on a failed input link).
-    if (bufferedFlits_ > 0 || latchCount_ > 0 || routingCount_ > 0 ||
-        vcAllocCount_ > 0 || activeVcCount_ > 0 ||
-        !pendingCredits_.empty())
+    if ((occMask_ | latchMask_ | routingMask_ | vcAllocMask_) != 0 ||
+        activeVcCount_ > 0 || !pendingCredits_.empty())
         return now + 1;
     Cycle wake = kNeverCycle;
     // Unflagged inputs are empty fault-free links: no event pending.

@@ -168,7 +168,7 @@ class Router final : public Ticking,
 
     /** Total flits buffered anywhere in this router: input buffers
      *  plus output latches (drain tests, the conservation audit). */
-    int totalBufferedFlits() const { return bufferedFlits_ + latchCount_; }
+    int totalBufferedFlits() const;
 
     // ------------------------------------------------------------------
     // Graceful degradation (fault injection)
@@ -307,19 +307,25 @@ class Router final : public Ticking,
     std::uint64_t poisoned_ = 0;
     Cycle orphanTimeout_ = 0;
 
-    // Fast-path occupancy counters: stages whose populations are zero
-    // are skipped entirely (the common case on an idle fabric).
-    int bufferedFlits_ = 0; ///< flits across all input buffers
-    int latchCount_ = 0;    ///< occupied output latches
-    std::uint64_t latchMask_ = 0; ///< bit q = latchFull_[q] (ST walk)
-    int routingCount_ = 0;  ///< input VCs in kRouting
-    int vcAllocCount_ = 0;  ///< input VCs in kVcAlloc
+    // Stage populations, tested by tick() and nextWakeCycle(): a stage
+    // whose population is empty is skipped (the common case on an idle
+    // fabric). A stage that runs walks only the set bits of its mask,
+    // in ascending order, the order of the full scan the mask replaces,
+    // so every arbiter sees the same request masks in the same
+    // sequence. Each mask mirrors the state named beside it and is
+    // updated at every write of that state; ports * numVcs <= 64
+    // (checked at construction) bounds every bit. Open wormholes stay a
+    // count, as no stage walks them: only the park test reads it.
     int activeVcCount_ = 0; ///< input VCs in kActive (open wormholes)
+    std::uint64_t occMask_ = 0;   ///< bit p: portOcc_[p] > 0 (SA inputs)
+    std::uint64_t latchMask_ = 0; ///< bit q: latchFull_[q] (ST walk)
+    /** Bit flatIdx(p, v): vcState_ is kRouting (RC walk). */
+    std::uint64_t routingMask_ = 0;
+    /** Bit flatIdx(p, v): vcState_ is kVcAlloc (VA requesters). */
+    std::uint64_t vcAllocMask_ = 0;
 
     /** Upper bound on ports (masks are 64-bit; VA flattens p*vcs+v). */
     static constexpr int kMaxPorts = 32;
-
-    std::vector<int> saCandidateVc_; ///< per input port, winner VC or -1
 };
 
 } // namespace oenet

@@ -67,6 +67,32 @@ TEST(Resilience, RoutesAroundHardFailedLink)
     EXPECT_GT(m.flitsDroppedDeadPort, 0u);
 }
 
+TEST(Resilience, PoisonedWormholesLeaveNoFlitBehind)
+{
+    // Killing link 16 of a 2x2x2 mesh strands wormholes whose bodies
+    // died with it; the orphan reclaim closes each with a synthetic
+    // poison tail that switch allocation must forward like any other
+    // buffered flit. A poison tail the allocator never sees holds its
+    // VC, and every wormhole queued behind it, for good: the fabric
+    // would keep thousands of flits after the sources stop.
+    SystemConfig c;
+    c.meshX = 2;
+    c.meshY = 2;
+    c.clusterSize = 2;
+    c.windowCycles = 200;
+    c.fault.enabled = true;
+    c.fault.killLink = 16;
+    c.fault.killCycle = 500;
+    c.fault.orphanTimeoutCycles = 256;
+    PoeSystem sys(c);
+    sys.setTraffic(makeTraffic(TrafficSpec::uniform(0.8, 4, 12), c));
+    sys.run(4000);
+    sys.setTraffic(nullptr);
+    sys.run(20000);
+    EXPECT_GT(sys.network().poisonedWormholes(), 0u);
+    EXPECT_EQ(sys.network().flitsInSystem(), 0u);
+}
+
 TEST(Resilience, NoFaultsMeansZeroFaultCounters)
 {
     SystemConfig c = meshConfig();

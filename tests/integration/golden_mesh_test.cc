@@ -290,6 +290,43 @@ TEST(GoldenMesh, VcselLockLossAndBerMatchRecordedBytes)
     EXPECT_EQ(fingerprintRun(vc, 0.8, 17, 250), 0xe4f9ec8f371fd7cdull);
 }
 
+TEST(GoldenMesh, TorusFourVcDatelineMatchesRecordedBytes)
+{
+    // Dateline VC classes split four VCs into two pairs, so every VC
+    // allocation filters its requesters by the class mask their route
+    // computed (the restricted path no mesh case reaches).
+    SystemConfig tor;
+    tor.topology = TopologyKind::kTorus;
+    tor.meshX = 4;
+    tor.meshY = 4;
+    tor.clusterSize = 2;
+    tor.numVcs = 4;
+    tor.windowCycles = 200;
+    EXPECT_EQ(fingerprintRun(tor, 1.5, 23), 0x243c4c62ea61b52eull);
+}
+
+TEST(GoldenMesh, CMeshMatchesRecordedBytes)
+{
+    // A concentrated mesh: 2x2 tile blocks per router, so a different
+    // radix and port map from the mesh cases.
+    SystemConfig cm;
+    cm.topology = TopologyKind::kCMesh;
+    cm.meshX = 4;
+    cm.meshY = 4;
+    cm.clusterSize = 4;
+    cm.windowCycles = 200;
+    EXPECT_EQ(fingerprintRun(cm, 1.5, 29), 0x2756564f92ff444full);
+}
+
+TEST(GoldenMesh, PaperMeshNearSaturationMatchesRecordedBytes)
+{
+    // The paper fabric at 5.5 pkt/cycle, near its saturation knee:
+    // most ports hold flits and contend in both VC and switch
+    // allocation every cycle.
+    SystemConfig paper;
+    EXPECT_EQ(fingerprintRun(paper, 5.5, 31), 0x151b9e6b88ab820bull);
+}
+
 TEST(GoldenMesh, FaultedFatTreeMatchesRecordedBytes)
 {
     // Faulted bytes beyond the mesh: a k=4 fat tree (single-path
