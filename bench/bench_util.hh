@@ -8,6 +8,7 @@
 #ifndef OENET_BENCH_BENCH_UTIL_HH
 #define OENET_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -29,7 +30,7 @@ namespace oenet::bench {
 /** Command line shared by every figure bench. */
 struct BenchArgs
 {
-    int jobs = 0;            ///< --jobs N; 0 = hardware concurrency
+    int jobs = 0;            ///< --jobs N; 0 = hardwareJobs()
     std::uint64_t seed = 1;  ///< --seed S; base seed for the sweep
     bool smoke = false;      ///< --smoke; tiny CI-sized run
     bool quiet = false;      ///< --quiet; suppress per-point progress
@@ -37,7 +38,7 @@ struct BenchArgs
     TraceFormat traceFormat = TraceFormat::kJsonl; ///< --trace-format
     Cycle metricsInterval = 1000; ///< --metrics-interval N; must be > 0
     bool idleElision = true; ///< --idle-elision on|off (kernel scheduler)
-    int shards = 1;          ///< --shards N; intra-run shard domains
+    int shards = 0;          ///< --shards N; intra-run shards, 0 = auto
     bool leakage = false;    ///< --leakage on|off; thermal/leakage model
 
     // Crash safety (see DESIGN.md "Crash-safe sweeps").
@@ -157,7 +158,7 @@ parseBenchArgs(int argc, char **argv, std::uint64_t default_seed)
             args.fatTreeArity =
                 parseFlagInt(argv[0], a, value(), 2, 64);
         } else if (std::strcmp(a, "--shards") == 0) {
-            args.shards = parseFlagInt(argv[0], a, value(), 1, 256);
+            args.shards = parseFlagInt(argv[0], a, value(), 0, 256);
         } else if (std::strcmp(a, "--leakage") == 0) {
             const char *v = value();
             if (std::strcmp(v, "on") == 0 || std::strcmp(v, "1") == 0) {
@@ -197,8 +198,8 @@ parseBenchArgs(int argc, char **argv, std::uint64_t default_seed)
                 "usage: %s [--jobs N] [--seed S] [--smoke] [--quiet]\n"
                 "          [--trace PATH [--trace-format jsonl|chrome]\n"
                 "           [--metrics-interval N]]\n"
-                "  --jobs N   worker threads (default: hardware "
-                "concurrency, %d here;\n"
+                "  --jobs N   worker threads (default: the CPUs this "
+                "process may use, %d here;\n"
                 "             1 = serial; results identical at any N)\n"
                 "  --seed S   base seed for derived per-point streams\n"
                 "  --smoke    tiny run for CI (fewer points, short "
@@ -220,9 +221,12 @@ parseBenchArgs(int argc, char **argv, std::uint64_t default_seed)
                 "thermal feedback\n"
                 "             (default off; off keeps outputs "
                 "byte-identical to older builds)\n"
-                "  --shards N shard one run across N threads "
-                "(default 1;\n"
-                "             outputs byte-identical at any N)\n"
+                "  --shards N shard one run across N threads; 0 = "
+                "auto (default):\n"
+                "             one shard per 64 routers, at most the "
+                "run's share of the\n"
+                "             cores (8x8 stays serial); outputs "
+                "byte-identical at any N\n"
                 "  --idle-elision on|off\n"
                 "             park quiescent components instead of "
                 "ticking them\n"
@@ -377,8 +381,32 @@ printFailures(const std::vector<SweepOutcome> &outcomes)
     return failed;
 }
 
-/** One-line runner telemetry (threads, wall time, speedup), plus the
- *  per-status breakdown when points were resumed or failed. */
+/** The shard counts the executed points ran with (auto resolved), as
+ *  one stdout line; the count is never written to a file. Works on
+ *  SweepOutcome and TimelineOutcome vectors alike. */
+template <typename Outcome>
+inline void
+printShards(const std::vector<Outcome> &outcomes)
+{
+    int lo = 0;
+    int hi = 0;
+    for (const SweepOutcome &o : outcomes) {
+        if (o.shards == 0)
+            continue; // replayed from the journal, not run
+        lo = lo == 0 ? o.shards : std::min(lo, o.shards);
+        hi = std::max(hi, o.shards);
+    }
+    if (hi == 0)
+        return;
+    if (lo == hi)
+        std::printf("shards: %d per point\n", hi);
+    else
+        std::printf("shards: %d-%d per point\n", lo, hi);
+}
+
+/** One-line runner telemetry (threads, wall time, speedup) and the
+ *  shard line, plus the per-status breakdown when points were resumed
+ *  or failed. */
 inline void
 printReport(const SweepReport &report)
 {
@@ -387,6 +415,7 @@ printReport(const SweepReport &report)
                 report.outcomes.size(), report.jobs,
                 report.jobs == 1 ? "" : "s", report.wallMs / 1000.0,
                 report.pointWallMs.sum() / 1000.0, report.speedup());
+    printShards(report.outcomes);
     if (report.resumedPoints > 0) {
         std::printf("sweep: %zu point(s) replayed from the journal\n",
                     report.resumedPoints);

@@ -101,6 +101,7 @@ main(int argc, char **argv)
                 points.size(), static_cast<unsigned long long>(kTotal));
     SweepRunner runner(runnerOptions(args));
     std::vector<TimelineOutcome> outcomes = runTimelines(runner, points);
+    printShards(outcomes);
 
     const TimelineResult &r_base = outcomes[0].timeline;
     const TimelineResult &r_mod = outcomes[1].timeline;

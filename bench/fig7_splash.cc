@@ -65,6 +65,7 @@ main(int argc, char **argv)
 
     SweepRunner runner(runnerOptions(args));
     std::vector<TimelineOutcome> outcomes = runTimelines(runner, points);
+    printShards(outcomes);
 
     for (std::size_t k = 0; k < outcomes.size(); k++) {
         const TimelineResult &r = outcomes[k].timeline;

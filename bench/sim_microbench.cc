@@ -140,13 +140,15 @@ BENCHMARK(BM_SmallSystemCycleLoaded)->Unit(benchmark::kMicrosecond);
 // parked at any instant, so the cost is dominated by waking and
 // parking the few that carry a flit and by polling their inputs —
 // the per-cycle scheduling tax that grows with the fabric, not with
-// the load.
+// the load. One shard: auto sharding would split the fabric across the
+// machine's cores and time the barrier instead.
 void
 BM_Mesh32CycleLight(benchmark::State &state)
 {
     SystemConfig cfg;
     cfg.meshX = 32;
     cfg.meshY = 32;
+    cfg.shards = 1;
     PoeSystem sys(cfg);
     sys.setTraffic(makeTraffic(TrafficSpec::uniform(2.0, 4, 3), cfg));
     sys.run(2000);
@@ -348,13 +350,15 @@ BENCHMARK(BM_BoundaryDelivery);
 // columns: a 16x16x8 fabric (~5k links) with leakage + thermal on, so
 // the pass also folds leakage and attributes energy per VC, after
 // enough simulated history that the link population mixes levels and
-// in-flight transitions.
+// in-flight transitions. One shard, so no idle worker threads share the
+// machine with the timed pass.
 void
 BM_PowerAccountingLedger(benchmark::State &state)
 {
     SystemConfig cfg;
     cfg.meshX = 16;
     cfg.meshY = 16;
+    cfg.shards = 1;
     cfg.thermal.enabled = true;
     PoeSystem sys(cfg);
     sys.setTraffic(makeTraffic(TrafficSpec::uniform(2.0, 4, 3), cfg));

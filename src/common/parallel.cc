@@ -1,5 +1,7 @@
 #include "common/parallel.hh"
 
+#include <sched.h>
+
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -11,6 +13,16 @@ namespace oenet {
 int
 hardwareJobs()
 {
+    // The affinity mask, not the machine: under taskset or a cpuset a
+    // process may run on fewer CPUs than hardware_concurrency() counts,
+    // and threads beyond them only time-slice.
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+        int n = CPU_COUNT(&allowed);
+        if (n > 0)
+            return n;
+    }
     unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : static_cast<int>(n);
 }

@@ -21,7 +21,9 @@
 
 namespace oenet {
 
-/** Worker count a "use the hardware" request resolves to (>= 1). */
+/** Worker count a "use the hardware" request resolves to (>= 1): the
+ *  CPUs the calling thread may run on (its affinity mask), else
+ *  std::thread::hardware_concurrency(). */
 int hardwareJobs();
 
 /** Resolve a --jobs request against @p items work items: 0 (or any

@@ -262,27 +262,34 @@ PoeSystem::auditConservation(Cycle settle_limit)
     // budgeted, and the flit equation below holds at any instant —
     // only the credit check needs quiescence.
     setTraffic(nullptr);
-    auto inFabric = [this] {
-        return network_->flitsInSystem() - network_->sourceQueuedFlits();
-    };
-    auto creditsPending = [this] {
-        for (int r = 0; r < network_->numRouters(); r++) {
-            if (network_->router(r).pendingCreditCount() != 0)
-                return true;
-        }
-        for (int n = 0; n < network_->numNodes(); n++) {
-            if (network_->node(n).pendingCreditCount() != 0)
-                return true;
-        }
-        return false;
-    };
+    // The settle loop reads the shards' running counts (O(shards) per
+    // cycle); the verdict below scans every buffer, link and channel,
+    // and a running count that disagrees with its scan is a violation
+    // of its own, so a missed counter update cannot hide.
     for (Cycle i = 0; i < settle_limit; i++) {
-        if (inFabric() == 0 && !creditsPending())
+        if (network_->fabricFlits() == 0 && network_->pendingCredits() == 0)
             break;
         kernel_.step();
     }
 
     std::uint64_t violations = 0;
+    std::uint64_t inflight =
+        network_->flitsInSystem() - network_->sourceQueuedFlits();
+    std::uint64_t pending = 0;
+    for (int r = 0; r < network_->numRouters(); r++)
+        pending += network_->router(r).pendingCreditCount();
+    for (int n = 0; n < network_->numNodes(); n++)
+        pending += network_->node(n).pendingCreditCount();
+    if (network_->fabricFlits() != static_cast<std::int64_t>(inflight) ||
+        network_->pendingCredits() != static_cast<std::int64_t>(pending)) {
+        violations++;
+        warn("conservation audit: running counts (in_fabric %lld, "
+             "pending_credits %lld) disagree with the scan (%llu, %llu)",
+             static_cast<long long>(network_->fabricFlits()),
+             static_cast<long long>(network_->pendingCredits()),
+             static_cast<unsigned long long>(inflight),
+             static_cast<unsigned long long>(pending));
+    }
 
     // Flit conservation (lifetime counters; valid settled or not).
     std::uint64_t injected = network_->flitsInjected();
@@ -291,7 +298,6 @@ PoeSystem::auditConservation(Cycle settle_limit)
     std::uint64_t retired = network_->poisonTailsRetired();
     std::uint64_t dropFail = network_->flitsDroppedOnFailLifetime();
     std::uint64_t dropDead = network_->flitsDroppedDeadPort();
-    std::uint64_t inflight = inFabric();
     std::uint64_t lhs = injected + poisoned;
     std::uint64_t rhs = ejected + retired + dropFail + dropDead + inflight;
     if (lhs != rhs) {
@@ -313,8 +319,7 @@ PoeSystem::auditConservation(Cycle settle_limit)
     // the fabric and every returned credit applied, and only on a
     // fault-free fabric (a hard-failed link legitimately strands the
     // credits of flits it dropped).
-    if (inflight != 0 || creditsPending() ||
-        network_->failedLinks() != 0) {
+    if (inflight != 0 || pending != 0 || network_->failedLinks() != 0) {
         return violations;
     }
     for (int ri = 0; ri < network_->numRouters(); ri++) {

@@ -78,8 +78,11 @@ class PoeSystem final : public PacketSink, public Ticking
     /**
      * Conservation audit (Debug builds, or `sim.conservation_audit`):
      * stop the traffic source, let in-flight flits and returned
-     * credits settle (at most @p settle_limit extra cycles), then
-     * check that every flit ever injected is accounted for —
+     * credits settle (at most @p settle_limit extra cycles, each
+     * settle check O(shards): Network::fabricFlits and
+     * pendingCredits), check that those running counts equal a full
+     * scan of the fabric, then that every flit ever injected is
+     * accounted for —
      *
      *   injected + poisoned == ejected + poisonTailsRetired
      *                          + droppedOnFail + droppedDeadPort

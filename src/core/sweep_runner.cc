@@ -297,6 +297,10 @@ SweepRunner::execute(const std::vector<SweepPoint> &points,
              "running without a watchdog");
     }
     const int maxAttempts = 1 + std::max(0, options_.maxRetries);
+    // Auto-sharded points split the machine with the pool, so jobs x
+    // shards never exceeds it. Resolved here, before the first attempt,
+    // so an --isolate child inherits the share.
+    const int coresPerPoint = std::max(1, hardwareJobs() / report.jobs);
 
     // ---- Execution ---------------------------------------------------
     auto sweepStart = std::chrono::steady_clock::now();
@@ -316,12 +320,15 @@ SweepRunner::execute(const std::vector<SweepPoint> &points,
 
             SweepPoint staged = point;
             staged.spec.seed = seed;
+            staged.config.shards =
+                staged.config.resolvedShards(coresPerPoint);
 
             SweepOutcome out;
             out.index = i;
             out.label = point.label;
             out.params = point.params;
             out.seed = seed;
+            out.shards = staged.config.shards;
 
             double totalWallMs = 0.0;
             for (int attempt = 1;; attempt++) {

@@ -20,7 +20,11 @@
  *    statistics into per-worker accumulators merged at join — there is
  *    no shared mutable state between in-flight points;
  *  - --jobs 1 runs the points inline on the calling thread, exactly
- *    the pre-runner serial behavior.
+ *    the pre-runner serial behavior;
+ *  - a point left at auto shards (sim.shards = 0) resolves against
+ *    hardwareJobs() / jobs cores, so the pool's threads times each
+ *    point's shards never exceed the machine (the shard count never
+ *    changes a byte, docs/DETERMINISM.md §1).
  *
  * One executor runs every sweep. run() hands it sweep points;
  * runTimelines() hands it timeline points staged as sweep points,
@@ -128,6 +132,10 @@ struct SweepOutcome
     std::string error; ///< failure diagnostic; never in manifests
     RunMetrics metrics; ///< zero-initialized when status == kFailed
     double wallMs = 0.0; ///< informational; never written to manifests
+    /** Shard domains the point ran with (sim.shards after auto
+     *  resolution); 0 for a point replayed from the journal. For the
+     *  stdout report only: never in manifests or the journal. */
+    int shards = 0;
 
     bool ok() const { return status == PointStatus::kOk; }
 };
@@ -174,7 +182,7 @@ class SweepRunner
 
     struct Options
     {
-        int jobs = 0; ///< worker threads; <= 0 means hardware concurrency
+        int jobs = 0; ///< worker threads; <= 0 means hardwareJobs()
         /** Each point's TrafficSpec::seed is replaced with the stream
          *  seed derived from (baseSeed, seedKey). */
         std::uint64_t baseSeed = 1;

@@ -1,8 +1,11 @@
 #include "core/system_config.hh"
 
+#include <algorithm>
+
 #include "phy/calibration.hh"
 
 #include "common/log.hh"
+#include "common/parallel.hh"
 
 namespace oenet {
 
@@ -243,8 +246,13 @@ SystemConfig::validate() const
               "VC needs at least one buffer slot",
               bufferDepthPerPort, numVcs);
     }
-    if (shards < 1)
-        fatal("sim.shards must be >= 1, got %d", shards);
+    if (shards < 0)
+        fatal("sim.shards must be >= 0 (0 = auto), got %d", shards);
+    if (shards > topologyParams().numRouters()) {
+        fatal("sim.shards (%d) exceeds the fabric's %d routers: the "
+              "surplus shards would own no routers",
+              shards, topologyParams().numRouters());
+    }
     if (!(brMinGbps > 0.0))
         fatal("link.br_min must be > 0, got %g", brMinGbps);
     if (!(brMaxGbps >= brMinGbps)) {
@@ -327,6 +335,15 @@ SystemConfig::conservationAuditEnabled() const
 #endif
 }
 
+int
+SystemConfig::resolvedShards(int cores) const
+{
+    if (shards >= 1)
+        return shards;
+    int byFabric = topologyParams().numRouters() / kMinRoutersPerShard;
+    return std::max(1, std::min(cores, byFabric));
+}
+
 TopologyParams
 SystemConfig::topologyParams() const
 {
@@ -362,7 +379,9 @@ SystemConfig::networkParams() const
                    ? *measuredLevels
                    : BitrateLevelTable::linear(brMinGbps, brMaxGbps,
                                                numLevels, vmaxV);
-    p.shards = shards;
+    // A run alone gets the machine; a sweep point arrives resolved
+    // against its share (SweepRunner::execute).
+    p.shards = resolvedShards(hardwareJobs());
     p.faults = fault.enabled;
     p.thermal = thermal;
     return p;

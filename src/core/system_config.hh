@@ -87,10 +87,22 @@ struct SystemConfig
     /** Shard domains for the sharded kernel: the topology is
      *  partitioned into this many per-thread shards exchanging
      *  boundary flits/credits through phase-separated queues. Output
-     *  is byte-identical at every value (docs/DETERMINISM.md); 1 (the
-     *  default) runs the same phase structure with no worker
-     *  threads. */
-    int shards = 1;
+     *  is byte-identical at every value (docs/DETERMINISM.md); 1 runs
+     *  the same phase structure with no worker threads. 0 (the
+     *  default) means auto: resolvedShards() against the cores the
+     *  run may use. */
+    int shards = 0;
+
+    /** Routers a shard must own before auto sharding adds it: below
+     *  this, the per-cycle barrier costs more than the shard's ticks
+     *  save (crossover table in EXPERIMENTS.md, "Sharded kernel
+     *  runbook"). Keeps the paper's 8x8 fabric serial. */
+    static constexpr int kMinRoutersPerShard = 64;
+
+    /** The shard count this configuration runs with on @p cores
+     *  cores: an explicit shards >= 1 as given; auto (0) as
+     *  max(1, min(cores, routers / kMinRoutersPerShard)). */
+    int resolvedShards(int cores) const;
 
     /** Cycles between power snapshots when a trace sink is attached
      *  (PoeSystem::setTraceSink). Must be > 0 — disable snapshots by

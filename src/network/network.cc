@@ -30,7 +30,12 @@ Network::Network(Kernel &kernel, const Params &params)
     // links need a boundary channel.
     kernel.configureSharding(params.shards);
     shardOf_ = topo_->partition(params.shards);
+    tallies_.resize(static_cast<std::size_t>(params.shards));
     faultModel_ = params.faults;
+    auto tallyOfRouter = [this](int r) {
+        return &tallies_[static_cast<std::size_t>(
+            shardOf_[static_cast<std::size_t>(r)])];
+    };
 
     // Tick order: routers, then nodes. Interactions are time-tagged,
     // so this only pins determinism, not semantics. Components land in
@@ -38,11 +43,14 @@ Network::Network(Kernel &kernel, const Params &params)
     // router (injection/ejection links never cross shards).
     for (int r = 0; r < topo_->numRouters(); r++) {
         Router *router = routers_[static_cast<std::size_t>(r)].get();
+        router->setTally(tallyOfRouter(r));
         kernel.addTicking(router);
         kernel.setDomain(router, 1 + shardOf_[static_cast<std::size_t>(r)]);
     }
     for (int n = 0; n < topo_->numNodes(); n++) {
         Node *node = nodes_[static_cast<std::size_t>(n)].get();
+        node->setTally(tallyOfRouter(
+            topo_->routerOf(static_cast<NodeId>(n))));
         kernel.addTicking(node);
         kernel.setDomain(node, 1 + shardOf_[static_cast<std::size_t>(
                                    topo_->routerOf(static_cast<NodeId>(n)))]);
@@ -60,6 +68,11 @@ Network::Network(Kernel &kernel, const Params &params)
     for (const auto &spec : specs_) {
         auto link = std::make_unique<OpticalLink>(
             spec.name, spec.kind, levels_, params.link, ledger_);
+        // A link counts with its sender's shard, whose thread (or the
+        // driving thread between phases) runs its fault polls.
+        link->setTally(tallyOfRouter(spec.kind == LinkKind::kInjection
+                                         ? spec.dstRouter
+                                         : spec.srcRouter));
         switch (spec.kind) {
           case LinkKind::kInjection: {
             Node &src = *nodes_[spec.srcNode];
@@ -368,6 +381,24 @@ Network::poisonTailsRetired() const
     std::uint64_t n = 0;
     for (const auto &node : nodes_)
         n += node->poisonTails();
+    return n;
+}
+
+std::int64_t
+Network::fabricFlits() const
+{
+    std::int64_t n = 0;
+    for (const ShardTally &t : tallies_)
+        n += t.fabricFlits;
+    return n;
+}
+
+std::int64_t
+Network::pendingCredits() const
+{
+    std::int64_t n = 0;
+    for (const ShardTally &t : tallies_)
+        n += t.pendingCredits;
     return n;
 }
 

@@ -160,6 +160,15 @@ class Network
      *  flitsInSystem; they have not entered the fabric yet). */
     std::uint64_t sourceQueuedFlits() const;
 
+    /** Flits in the fabric (flitsInSystem() minus sourceQueuedFlits())
+     *  from the shards' running counts (ShardTally): O(shards), no
+     *  scan. Driving thread, between steps. */
+    std::int64_t fabricFlits() const;
+
+    /** Returned credits not yet applied at any router or node, from
+     *  the same running counts. */
+    std::int64_t pendingCredits() const;
+
     /** Synthetic poison tails retired at nodes (counterpart of
      *  poisonedWormholes, which counts their creation). */
     std::uint64_t poisonTailsRetired() const;
@@ -222,6 +231,9 @@ class Network
     std::vector<std::unique_ptr<BoundaryChannel>> channels_;
     std::vector<BoundaryChannel::PublishList> publish_;
     std::vector<int> shardOf_;
+    /** Running counts per shard; components hold pointers into it, so
+     *  it is sized once, before any component is wired. */
+    std::vector<ShardTally> tallies_;
     bool faultModel_ = false; ///< Params::faults
 
     double baselinePowerMw_ = 0.0;

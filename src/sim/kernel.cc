@@ -105,11 +105,10 @@ Kernel::configureSharding(int shards)
         domains_.push_back(std::make_unique<Domain>());
         domains_.back()->index = d;
     }
-    // The driving thread runs shard domain 1's phase itself; domains
-    // 2..N each get a worker. One shard therefore needs no threads at
-    // all while exercising the exact same phase structure.
-    for (int d = 2; d <= shards; d++)
-        workers_.emplace_back([this, d] { workerLoop(d); });
+    // The driving thread runs shard domain 1's phase itself, so one
+    // shard needs no threads at all while exercising the exact same
+    // phase structure. Domains 2..N each get a worker, started by the
+    // first parallel phase (step), so building a system starts none.
 }
 
 void
@@ -179,15 +178,18 @@ Kernel::step()
     // kernel when sharding is off.
     runDomainPass(*domains_[0], now_);
     if (phased_ && !shardsQuiet()) {
-        if (workers_.empty()) {
-            for (int d = 1; d <= shards_; d++)
-                runShardPhase(*domains_[d], now_);
+        if (shards_ == 1) {
+            runShardPhase(*domains_[1], now_);
         } else {
+            if (workers_.empty()) {
+                for (int d = 2; d <= shards_; d++)
+                    workers_.emplace_back([this, d] { workerLoop(d); });
+            }
             phaseCycle_ = now_;
             phaseDone_.store(0, std::memory_order_relaxed);
             phaseGen_.fetch_add(1, std::memory_order_release);
             runShardPhase(*domains_[1], now_);
-            const int expected = static_cast<int>(workers_.size());
+            const int expected = shards_ - 1;
             int spins = 0;
             while (phaseDone_.load(std::memory_order_acquire) < expected)
                 spinPause(spins);

@@ -169,8 +169,9 @@ class Kernel
      * setDomain before stepping. shards == 1 keeps everything on the
      * driving thread but uses the exact same phase structure, which is
      * what makes output byte-identical at any shard count; shards > 1
-     * spawns shards-1 worker threads, joined by the destructor. Call
-     * once, before the first step.
+     * runs shards-1 worker threads, started by the first parallel
+     * phase and joined by the destructor. Call once, before the first
+     * step.
      */
     void configureSharding(int shards);
 
@@ -310,8 +311,9 @@ class Kernel
     // Worker synchronization (shards > 1): a generation counter
     // releases the workers into a phase, a done counter is the
     // barrier out of it. Spin-based — a cycle is far shorter than any
-    // blocking primitive's round trip.
-    std::vector<std::thread> workers_;
+    // blocking primitive's round trip, and blocking after a bounded
+    // spin measured slower (EXPERIMENTS.md, "Sharded kernel runbook").
+    std::vector<std::thread> workers_; ///< started by the first phase
     std::atomic<std::uint64_t> phaseGen_{0};
     std::atomic<int> phaseDone_{0};
     std::atomic<bool> quit_{false};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <stdexcept>
 #include <thread>
@@ -32,6 +34,26 @@ TEST(EffectiveJobs, AtLeastOne)
 TEST(HardwareJobs, Positive)
 {
     EXPECT_GE(hardwareJobs(), 1);
+}
+
+TEST(HardwareJobs, CountsOnlyTheCpusThisThreadMayUse)
+{
+    // Pinned to one CPU (as under taskset), the hardware is one core
+    // however many the machine has, so --jobs 0 and auto shards do not
+    // oversubscribe it. The test thread's own mask is restored after.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (!CPU_ISSET(first, &saved))
+        first++;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    int pinned = hardwareJobs();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1);
+    EXPECT_EQ(hardwareJobs(), CPU_COUNT(&saved));
 }
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnce)

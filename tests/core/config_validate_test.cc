@@ -194,3 +194,31 @@ TEST(ConfigValidate, AcceptsThermalWithFaults)
     c.validate();
     SUCCEED();
 }
+
+TEST(ConfigValidate, ShardsZeroMeansAuto)
+{
+    SystemConfig c;
+    EXPECT_EQ(c.shards, 0); // auto is the default
+    c.validate();
+    Config raw;
+    raw.set("sim.shards", "0");
+    EXPECT_EQ(SystemConfig::fromConfig(raw).shards, 0);
+}
+
+TEST(ConfigValidate, RejectsShardCountsTheFabricCannotUse)
+{
+    SystemConfig c;
+    c.shards = -1;
+    expectRejected(c, "sim.shards must be >= 0");
+
+    // A 2x2 mesh has four routers: a fifth shard would own none and
+    // its worker would only spin. validate() dies before any worker
+    // thread exists.
+    c = SystemConfig{};
+    c.meshX = 2;
+    c.meshY = 2;
+    c.shards = 4;
+    c.validate();
+    c.shards = 5;
+    expectRejected(c, "sim.shards \\(5\\) exceeds the fabric's 4 routers");
+}

@@ -92,6 +92,54 @@ TEST(ConservationAudit, DirectAuditOnQuiescentSystem)
     EXPECT_EQ(sys.auditConservation(), 0u);
 }
 
+TEST(ConservationAudit, RunningCountsMatchTheScanEveryCycle)
+{
+    // The settle loop reads the shards' running counts instead of
+    // scanning the fabric. Every flit entry, ejection, drop and poison
+    // tail, and every credit return and apply, must keep them equal
+    // to the scan at every step boundary, sharded or not. A killed
+    // inter-router link and a BER floor exercise drops, replays,
+    // poison tails and dead-port discards.
+    for (int shards : {1, 3}) {
+        SystemConfig c = smallConfig();
+        c.meshX = 4;
+        c.meshY = 3;
+        c.shards = shards;
+        c.routing = RoutingAlgo::kWestFirst;
+        c.fault.enabled = true;
+        c.fault.berFloor = 1e-4;
+        c.fault.killLink = 60; // inter-router: 48 endpoint links first
+        c.fault.killCycle = 700;
+        c.fault.orphanTimeoutCycles = 256;
+        PoeSystem sys(c);
+        sys.setTraffic(makeTraffic(TrafficSpec::uniform(1.0, 4, 13), c));
+        Network &net = sys.network();
+        for (int cycle = 0; cycle < 3000; cycle++) {
+            if (cycle == 2000)
+                sys.setTraffic(nullptr);
+            sys.run(1);
+            std::int64_t pending = 0;
+            for (int r = 0; r < net.numRouters(); r++)
+                pending += static_cast<std::int64_t>(
+                    net.router(r).pendingCreditCount());
+            for (int n = 0; n < net.numNodes(); n++)
+                pending += static_cast<std::int64_t>(
+                    net.node(n).pendingCreditCount());
+            ASSERT_EQ(net.fabricFlits(),
+                      static_cast<std::int64_t>(net.flitsInSystem() -
+                                                net.sourceQueuedFlits()))
+                << "shards=" << shards << " cycle=" << cycle;
+            ASSERT_EQ(net.pendingCredits(), pending)
+                << "shards=" << shards << " cycle=" << cycle;
+        }
+        EXPECT_EQ(net.failedLinks(), 1);
+        EXPECT_GT(net.flitsDroppedOnFailLifetime() +
+                      net.flitsDroppedDeadPort(),
+                  0u);
+        EXPECT_EQ(sys.auditConservation(), 0u) << "shards=" << shards;
+    }
+}
+
 TEST(ConservationAudit, TimelineRunBalances)
 {
     TimelineResult r =

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -16,6 +17,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "core/sweep_journal.hh"
@@ -179,6 +181,41 @@ TEST(SweepRunner, ProgressReportsEveryPointOnce)
                           });
     EXPECT_EQ(calls.load(), 6u);
     EXPECT_EQ(lastDone, 6u);
+}
+
+TEST(SweepRunner, AutoShardsSplitTheMachineWithThePool)
+{
+    // 32x32 points would take 16 shards on a big enough machine; a
+    // J-job pool gives each auto point hardwareJobs() / J cores, so
+    // jobs x shards never exceeds the machine. The body only records
+    // what it was handed, so nothing is simulated.
+    std::vector<SweepPoint> points(6);
+    for (std::size_t i = 0; i < points.size(); i++) {
+        points[i].label = "p" + std::to_string(i);
+        points[i].config.meshX = 32;
+        points[i].config.meshY = 32;
+    }
+    points[5].config.shards = 3; // explicit: passes through
+    for (int jobs : {1, 2, 4, 6}) {
+        SweepRunner::Options opts;
+        opts.jobs = jobs;
+        std::vector<int> handed(points.size(), -1);
+        SweepReport report = SweepRunner(opts).run(
+            points, [&](const SweepPoint &p, std::uint64_t) {
+                handed[std::stoul(p.label.substr(1))] = p.config.shards;
+                return RunMetrics{};
+            });
+        const int share = std::max(1, hardwareJobs() / report.jobs);
+        for (std::size_t i = 0; i < points.size(); i++) {
+            int want = i == 5 ? 3 : std::max(1, std::min(share, 16));
+            EXPECT_EQ(handed[i], want) << "jobs=" << jobs << " i=" << i;
+            EXPECT_EQ(report.outcomes[i].shards, want);
+            if (i != 5) {
+                EXPECT_LE(handed[i] * report.jobs,
+                          std::max(hardwareJobs(), report.jobs));
+            }
+        }
+    }
 }
 
 TEST(SweepRunner, EmptySweep)

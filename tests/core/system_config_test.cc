@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.hh"
 #include "core/system_config.hh"
 
 using namespace oenet;
@@ -94,4 +95,48 @@ TEST(SystemConfigDeath, TriLevelRequiresModulator)
     raw.set("link.scheme", "vcsel");
     EXPECT_EXIT((void)SystemConfig::fromConfig(raw),
                 ::testing::ExitedWithCode(1), "modulator");
+}
+
+TEST(SystemConfig, ResolvedShardsFollowsFabricAndCores)
+{
+    auto mesh = [](int x, int y) {
+        SystemConfig c;
+        c.meshX = x;
+        c.meshY = y;
+        return c;
+    };
+    // Auto: one shard per kMinRoutersPerShard routers, capped by the
+    // cores, never below one.
+    EXPECT_EQ(mesh(8, 8).resolvedShards(4), 1);
+    EXPECT_EQ(mesh(8, 8).resolvedShards(64), 1);
+    EXPECT_EQ(mesh(12, 12).resolvedShards(4), 2);
+    EXPECT_EQ(mesh(32, 32).resolvedShards(4), 4);
+    EXPECT_EQ(mesh(32, 32).resolvedShards(1), 1);
+    EXPECT_EQ(mesh(32, 32).resolvedShards(64), 16);
+    EXPECT_EQ(mesh(2, 2).resolvedShards(4), 1);
+    EXPECT_EQ(mesh(32, 32).resolvedShards(0), 1);
+
+    // Every topology kind counts its routers: a 16-ary fat-tree has
+    // 16 * 8 * 2 + 8 * 8 = 320 switches.
+    SystemConfig ft;
+    ft.topology = TopologyKind::kFatTree;
+    ft.fatTreeArity = 16;
+    EXPECT_EQ(ft.resolvedShards(8), 5);
+
+    // An explicit count passes through, whatever the cores.
+    SystemConfig c = mesh(8, 8);
+    c.shards = 3;
+    EXPECT_EQ(c.resolvedShards(1), 3);
+    EXPECT_EQ(c.resolvedShards(64), 3);
+}
+
+TEST(SystemConfig, NetworkParamsResolveAutoShardsWithTheMachine)
+{
+    SystemConfig c;
+    c.meshX = 32;
+    c.meshY = 32;
+    EXPECT_EQ(c.networkParams().shards, c.resolvedShards(hardwareJobs()));
+    c.shards = 2;
+    EXPECT_EQ(c.networkParams().shards, 2);
+    EXPECT_EQ(SystemConfig{}.networkParams().shards, 1); // 8x8 stays serial
 }

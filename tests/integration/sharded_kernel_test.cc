@@ -11,6 +11,7 @@
  * each test's own single-shard run; GoldenMesh pins absolute bytes.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.hh"
 #include "core/experiment.hh"
 #include "core/poe_system.hh"
 
@@ -230,6 +232,33 @@ TEST(ShardedKernel, FingerprintInvariantWithFaultsAndLeakage)
                 << "shards=" << shards << " elision=" << elision;
         }
     }
+}
+
+TEST(ShardedKernel, AutoShardsMatchOneShardOnA12x12Mesh)
+{
+    // 144 routers: the smallest square mesh the default (auto) shards
+    // at all, into min(cores, 2) shards. Its bytes must equal the
+    // explicit single-shard run's.
+    auto cfg = [](int shards) {
+        SystemConfig c;
+        c.meshX = 12;
+        c.meshY = 12;
+        c.clusterSize = 2;
+        c.windowCycles = 200;
+        c.shards = shards;
+        return c;
+    };
+    const int cores = hardwareJobs();
+    EXPECT_EQ(PoeSystem(cfg(0)).kernel().shardCount(),
+              std::min(cores, 2));
+    std::uint64_t ref_packets = 0;
+    std::uint64_t ref = fingerprint(cfg(1), 1.5, 31, ref_packets);
+    ASSERT_GT(ref_packets, 0u);
+    std::uint64_t packets = 0;
+    std::uint64_t audit = 0;
+    EXPECT_EQ(fingerprint(cfg(0), 1.5, 31, packets, &audit), ref);
+    EXPECT_EQ(packets, ref_packets);
+    EXPECT_EQ(audit, 0u);
 }
 
 namespace {
