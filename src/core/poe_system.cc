@@ -8,6 +8,15 @@
 
 namespace oenet {
 
+namespace {
+
+/** Settle steps between two censuses of the conservation audit. A
+ *  census walks every node, router, link and channel; a step of a
+ *  nearly drained fabric ticks only its few awake components. */
+constexpr Cycle kCensusStride = 64;
+
+} // namespace
+
 PoeSystem::PoeSystem(const SystemConfig &config)
     : config_(config), latencyHist_(0.0, 50000.0, 500)
 {
@@ -262,35 +271,19 @@ PoeSystem::auditConservation(Cycle settle_limit)
     // budgeted, and the flit equation below holds at any instant —
     // only the credit check needs quiescence.
     setTraffic(nullptr);
-    // The settle loop reads the shards' running counts (O(shards) per
-    // cycle); the verdict below scans every buffer, link and channel,
-    // and a running count that disagrees with its scan is a violation
-    // of its own, so a missed counter update cannot hide.
-    for (Cycle i = 0; i < settle_limit; i++) {
-        if (network_->fabricFlits() == 0 && network_->pendingCredits() == 0)
-            break;
-        kernel_.step();
+    // A census walks the whole fabric, so it is taken before the first
+    // settle step, every kCensusStride steps and at the limit; the
+    // loop stops at the first settled one. Stopping at the stride
+    // boundary after the fabric settles changes no verdict.
+    Network::Census census = network_->census();
+    for (Cycle stepped = 0; !census.settled() && stepped < settle_limit;) {
+        Cycle steps = std::min(kCensusStride, settle_limit - stepped);
+        kernel_.run(steps);
+        stepped += steps;
+        census = network_->census();
     }
 
     std::uint64_t violations = 0;
-    std::uint64_t inflight =
-        network_->flitsInSystem() - network_->sourceQueuedFlits();
-    std::uint64_t pending = 0;
-    for (int r = 0; r < network_->numRouters(); r++)
-        pending += network_->router(r).pendingCreditCount();
-    for (int n = 0; n < network_->numNodes(); n++)
-        pending += network_->node(n).pendingCreditCount();
-    if (network_->fabricFlits() != static_cast<std::int64_t>(inflight) ||
-        network_->pendingCredits() != static_cast<std::int64_t>(pending)) {
-        violations++;
-        warn("conservation audit: running counts (in_fabric %lld, "
-             "pending_credits %lld) disagree with the scan (%llu, %llu)",
-             static_cast<long long>(network_->fabricFlits()),
-             static_cast<long long>(network_->pendingCredits()),
-             static_cast<unsigned long long>(inflight),
-             static_cast<unsigned long long>(pending));
-    }
-
     // Flit conservation (lifetime counters; valid settled or not).
     std::uint64_t injected = network_->flitsInjected();
     std::uint64_t poisoned = network_->poisonedWormholes();
@@ -299,7 +292,8 @@ PoeSystem::auditConservation(Cycle settle_limit)
     std::uint64_t dropFail = network_->flitsDroppedOnFailLifetime();
     std::uint64_t dropDead = network_->flitsDroppedDeadPort();
     std::uint64_t lhs = injected + poisoned;
-    std::uint64_t rhs = ejected + retired + dropFail + dropDead + inflight;
+    std::uint64_t rhs =
+        ejected + retired + dropFail + dropDead + census.fabricFlits;
     if (lhs != rhs) {
         violations++;
         warn("conservation audit: flit ledger imbalance: "
@@ -312,16 +306,15 @@ PoeSystem::auditConservation(Cycle settle_limit)
              static_cast<unsigned long long>(retired),
              static_cast<unsigned long long>(dropFail),
              static_cast<unsigned long long>(dropDead),
-             static_cast<unsigned long long>(inflight));
+             static_cast<unsigned long long>(census.fabricFlits));
     }
 
     // Credit restitution — only meaningful once every flit has left
     // the fabric and every returned credit applied, and only on a
     // fault-free fabric (a hard-failed link legitimately strands the
     // credits of flits it dropped).
-    if (inflight != 0 || pending != 0 || network_->failedLinks() != 0) {
+    if (!census.settled() || network_->failedLinks() != 0)
         return violations;
-    }
     for (int ri = 0; ri < network_->numRouters(); ri++) {
         Router &r = network_->router(ri);
         for (int p = 0; p < r.numPorts(); p++) {

@@ -78,20 +78,21 @@ class PoeSystem final : public PacketSink, public Ticking
     /**
      * Conservation audit (Debug builds, or `sim.conservation_audit`):
      * stop the traffic source, let in-flight flits and returned
-     * credits settle (at most @p settle_limit extra cycles, each
-     * settle check O(shards): Network::fabricFlits and
-     * pendingCredits), check that those running counts equal a full
-     * scan of the fabric, then that every flit ever injected is
-     * accounted for —
+     * credits settle for at most @p settle_limit extra cycles, then
+     * check that every flit ever injected is accounted for —
      *
      *   injected + poisoned == ejected + poisonTailsRetired
      *                          + droppedOnFail + droppedDeadPort
      *                          + still-in-fabric
      *
-     * — and, when the fabric reached quiescence and no link has
-     * hard-failed, that every credit pool was restituted: each router
-     * output VC free and back at its downstream depth, each node
-     * injection VC back at capacity, no pending credits anywhere.
+     * — and, when the fabric settled and no link has hard-failed,
+     * that every credit pool was restituted: each router output VC
+     * free and back at its downstream depth, each node injection VC
+     * back at capacity. A census of the fabric (Network::census)
+     * decides whether it settled: taken before the first settle step,
+     * every 64 steps and at the limit, the first settled one ends the
+     * loop, and the last one taken supplies still-in-fabric. No
+     * component counts anything on the audit's behalf.
      * Each violation is warn()ed (never an abort) and counted.
      * Detach any trace sink first; the settle cycles emit no events.
      * @return the number of violations (0 = books balance).
@@ -160,7 +161,6 @@ class PoeSystem final : public PacketSink, public Ticking
     std::uint64_t measuredEjected_ = 0;
     std::uint64_t measuredFlitsEjectedStart_ = 0;
     std::uint64_t measuredFlitsEjectedEnd_ = 0;
-    double offeredPacketsInWindow_ = 0.0;
     RunningStat latency_;
     Histogram latencyHist_;
     std::uint64_t transitionsStart_ = 0;

@@ -17,47 +17,9 @@
 #ifndef OENET_LINK_ENDPOINTS_HH
 #define OENET_LINK_ENDPOINTS_HH
 
-#include <cstdint>
-
 #include "common/types.hh"
 
 namespace oenet {
-
-/**
- * Running flit and credit counts of one shard domain, kept by the
- * routers, nodes and links the Network assigns to it, so the
- * conservation audit's settle loop reads the whole fabric in O(shards)
- * (Network::fabricFlits, Network::pendingCredits). Only the domain's
- * own thread writes it during a parallel phase, and the driving thread
- * between phases; one cache line each, so shards do not share one.
- */
-struct alignas(64) ShardTally
-{
-    /** Flits that entered the fabric (left a source queue, or were
-     *  synthesized as poison tails) minus those that left it
-     *  (ejected, retired, dropped). One shard's count may go negative:
-     *  a flit can enter in one shard and leave in another. */
-    std::int64_t fabricFlits = 0;
-    /** Credits returned to a router or node and not yet applied. */
-    std::int64_t pendingCredits = 0;
-};
-
-/** Count @p delta flits into (or out of) @p tally's fabric; a null
- *  tally (a component outside a Network) keeps none. */
-inline void
-tallyFlits(ShardTally *tally, std::int64_t delta)
-{
-    if (tally != nullptr)
-        tally->fabricFlits += delta;
-}
-
-/** Same for returned-but-unapplied credits. */
-inline void
-tallyCredits(ShardTally *tally, std::int64_t delta)
-{
-    if (tally != nullptr)
-        tally->pendingCredits += delta;
-}
 
 class CreditSink
 {

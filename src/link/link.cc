@@ -318,7 +318,6 @@ OpticalLink::failLink(Cycle at)
     int lost = inflightCount_;
     flitsDroppedOnFail_ += static_cast<std::uint64_t>(lost);
     flitsDroppedOnFailLifetime_ += static_cast<std::uint64_t>(lost);
-    tallyFlits(tally_, -lost);
     inflightCount_ = 0;
     enterPhase(Phase::kOff, at, kNeverCycle);
     if (traceSink_) {

@@ -52,7 +52,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/units.hh"
-#include "link/endpoints.hh"
 #include "phy/bitrate_levels.hh"
 #include "phy/laser_source.hh"
 #include "phy/link_power.hh"
@@ -356,10 +355,6 @@ class OpticalLink
         return flitsDroppedOnFailLifetime_;
     }
 
-    /** Take the flits a hard failure drops out of @p tally's fabric
-     *  count (ShardTally); null (the default) keeps none. */
-    void setTally(ShardTally *tally) { tally_ = tally; }
-
     /** Retransmissions since the last beginWindow() (DVS clamp
      *  input). */
     std::uint64_t windowRetries() const { return windowRetries_; }
@@ -520,7 +515,6 @@ class OpticalLink
     std::uint64_t flitsDroppedOnFail_ = 0;
     std::uint64_t flitsDroppedOnFailLifetime_ = 0;
     std::uint64_t windowRetries_ = 0;
-    ShardTally *tally_ = nullptr;
 
     // Serialization / in-flight flits (ring capacity kInflightCap,
     // public above; power of two so the drain walk can mask). The

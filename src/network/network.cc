@@ -30,12 +30,7 @@ Network::Network(Kernel &kernel, const Params &params)
     // links need a boundary channel.
     kernel.configureSharding(params.shards);
     shardOf_ = topo_->partition(params.shards);
-    tallies_.resize(static_cast<std::size_t>(params.shards));
     faultModel_ = params.faults;
-    auto tallyOfRouter = [this](int r) {
-        return &tallies_[static_cast<std::size_t>(
-            shardOf_[static_cast<std::size_t>(r)])];
-    };
 
     // Tick order: routers, then nodes. Interactions are time-tagged,
     // so this only pins determinism, not semantics. Components land in
@@ -43,14 +38,11 @@ Network::Network(Kernel &kernel, const Params &params)
     // router (injection/ejection links never cross shards).
     for (int r = 0; r < topo_->numRouters(); r++) {
         Router *router = routers_[static_cast<std::size_t>(r)].get();
-        router->setTally(tallyOfRouter(r));
         kernel.addTicking(router);
         kernel.setDomain(router, 1 + shardOf_[static_cast<std::size_t>(r)]);
     }
     for (int n = 0; n < topo_->numNodes(); n++) {
         Node *node = nodes_[static_cast<std::size_t>(n)].get();
-        node->setTally(tallyOfRouter(
-            topo_->routerOf(static_cast<NodeId>(n))));
         kernel.addTicking(node);
         kernel.setDomain(node, 1 + shardOf_[static_cast<std::size_t>(
                                    topo_->routerOf(static_cast<NodeId>(n)))]);
@@ -68,11 +60,6 @@ Network::Network(Kernel &kernel, const Params &params)
     for (const auto &spec : specs_) {
         auto link = std::make_unique<OpticalLink>(
             spec.name, spec.kind, levels_, params.link, ledger_);
-        // A link counts with its sender's shard, whose thread (or the
-        // driving thread between phases) runs its fault polls.
-        link->setTally(tallyOfRouter(spec.kind == LinkKind::kInjection
-                                         ? spec.dstRouter
-                                         : spec.srcRouter));
         switch (spec.kind) {
           case LinkKind::kInjection: {
             Node &src = *nodes_[spec.srcNode];
@@ -367,15 +354,6 @@ Network::flitsEjected() const
 }
 
 std::uint64_t
-Network::sourceQueuedFlits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &node : nodes_)
-        n += node->sourceQueueFlits();
-    return n;
-}
-
-std::uint64_t
 Network::poisonTailsRetired() const
 {
     std::uint64_t n = 0;
@@ -384,37 +362,23 @@ Network::poisonTailsRetired() const
     return n;
 }
 
-std::int64_t
-Network::fabricFlits() const
+Network::Census
+Network::census() const
 {
-    std::int64_t n = 0;
-    for (const ShardTally &t : tallies_)
-        n += t.fabricFlits;
-    return n;
-}
-
-std::int64_t
-Network::pendingCredits() const
-{
-    std::int64_t n = 0;
-    for (const ShardTally &t : tallies_)
-        n += t.pendingCredits;
-    return n;
-}
-
-std::uint64_t
-Network::flitsInSystem() const
-{
-    std::uint64_t n = 0;
-    for (const auto &node : nodes_)
-        n += node->sourceQueueFlits();
-    for (const auto &r : routers_)
-        n += static_cast<std::uint64_t>(r->totalBufferedFlits());
+    Census c;
+    for (const auto &node : nodes_) {
+        c.queuedFlits += node->sourceQueueFlits();
+        c.pendingCredits += node->pendingCreditCount();
+    }
+    for (const auto &r : routers_) {
+        c.fabricFlits += static_cast<std::uint64_t>(r->totalBufferedFlits());
+        c.pendingCredits += r->pendingCreditCount();
+    }
     for (const auto &l : links_)
-        n += static_cast<std::uint64_t>(l->inFlight());
-    for (const auto &c : channels_)
-        n += static_cast<std::uint64_t>(c->staged());
-    return n;
+        c.fabricFlits += static_cast<std::uint64_t>(l->inFlight());
+    for (const auto &ch : channels_)
+        c.fabricFlits += static_cast<std::uint64_t>(ch->staged());
+    return c;
 }
 
 } // namespace oenet

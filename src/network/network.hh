@@ -153,21 +153,35 @@ class Network
     std::uint64_t flitsInjected() const;
     std::uint64_t flitsEjected() const;
 
+    /** Where the flits and returned credits are, from one walk over
+     *  every node, router, link and boundary channel (the
+     *  conservation audit's settle test and verdict). Driving thread,
+     *  between steps. */
+    struct Census
+    {
+        /** Waiting in source queues, not yet in the fabric. */
+        std::uint64_t queuedFlits = 0;
+        /** Buffered or latched in routers, on links, or staged in
+         *  boundary channels. */
+        std::uint64_t fabricFlits = 0;
+        /** Returned to a router or node and not yet applied. */
+        std::uint64_t pendingCredits = 0;
+
+        /** No flit in the fabric and no credit pending (source queues
+         *  may still hold flits). */
+        bool settled() const
+        {
+            return fabricFlits == 0 && pendingCredits == 0;
+        }
+    };
+    Census census() const;
+
     /** Flits anywhere in flight: source queues, buffers, links. */
-    std::uint64_t flitsInSystem() const;
-
-    /** Flits still waiting in source queues (subset of
-     *  flitsInSystem; they have not entered the fabric yet). */
-    std::uint64_t sourceQueuedFlits() const;
-
-    /** Flits in the fabric (flitsInSystem() minus sourceQueuedFlits())
-     *  from the shards' running counts (ShardTally): O(shards), no
-     *  scan. Driving thread, between steps. */
-    std::int64_t fabricFlits() const;
-
-    /** Returned credits not yet applied at any router or node, from
-     *  the same running counts. */
-    std::int64_t pendingCredits() const;
+    std::uint64_t flitsInSystem() const
+    {
+        Census c = census();
+        return c.queuedFlits + c.fabricFlits;
+    }
 
     /** Synthetic poison tails retired at nodes (counterpart of
      *  poisonedWormholes, which counts their creation). */
@@ -231,9 +245,6 @@ class Network
     std::vector<std::unique_ptr<BoundaryChannel>> channels_;
     std::vector<BoundaryChannel::PublishList> publish_;
     std::vector<int> shardOf_;
-    /** Running counts per shard; components hold pointers into it, so
-     *  it is sized once, before any component is wired. */
-    std::vector<ShardTally> tallies_;
     bool faultModel_ = false; ///< Params::faults
 
     double baselinePowerMw_ = 0.0;

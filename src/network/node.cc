@@ -46,7 +46,6 @@ void
 Node::returnCredit(int, int vc, Cycle now)
 {
     pendingCredits_.push_back(PendingCredit{vc, now + 1});
-    tallyCredits(tally_, 1);
     wakeAt(now + 1); // credit wake edge: apply it on time if parked
 }
 
@@ -65,7 +64,6 @@ Node::bufferCapacity(int) const
 void
 Node::applyCredits(Cycle now)
 {
-    const std::size_t pending = pendingCredits_.size();
     std::size_t i = 0;
     while (i < pendingCredits_.size()) {
         if (pendingCredits_[i].effective <= now) {
@@ -79,8 +77,6 @@ Node::applyCredits(Cycle now)
             i++;
         }
     }
-    tallyCredits(tally_, -static_cast<std::int64_t>(
-                             pending - pendingCredits_.size()));
 }
 
 void
@@ -96,11 +92,9 @@ Node::drainEjection(Cycle now)
             // Synthetic tail closing a wormhole killed by a link
             // failure: frees resources but is not delivered data.
             poisonTails_++;
-            tallyFlits(tally_, -1);
             return;
         }
         flitsEjected_++;
-        tallyFlits(tally_, -1);
         if (flit.isTail()) {
             packetsEjected_++;
             if (sink_ != nullptr)
@@ -149,7 +143,6 @@ Node::inject(Cycle now)
         injLink_->accept(now, flit);
         credits_[static_cast<std::size_t>(vc)]--;
         flitsInjected_++;
-        tallyFlits(tally_, 1);
         currentVc_ = flit.isTail() ? kInvalid : vc;
     }
 }

@@ -114,11 +114,6 @@ class Node final : public Ticking,
         return pendingCredits_.size();
     }
 
-    /** Keep @p tally's running counts (ShardTally): pending credits,
-     *  and flits entering and leaving the fabric here. Null (the
-     *  default of a node outside a Network) keeps none. */
-    void setTally(ShardTally *tally) { tally_ = tally; }
-
   private:
     struct PendingCredit
     {
@@ -153,7 +148,6 @@ class Node final : public Ticking,
     std::uint64_t flitsInjected_ = 0;
     std::uint64_t flitsEjected_ = 0;
     std::uint64_t poisonTails_ = 0;
-    ShardTally *tally_ = nullptr;
 };
 
 } // namespace oenet

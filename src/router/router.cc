@@ -132,7 +132,6 @@ void
 Router::returnCredit(int port, int vc, Cycle now)
 {
     pendingCredits_.push_back(PendingCredit{port, vc, now + 1});
-    tallyCredits(tally_, 1);
     wakeAt(now + 1); // credit wake edge: apply it on time if parked
 }
 
@@ -238,7 +237,6 @@ Router::totalBufferedFlits() const
 void
 Router::applyCredits(Cycle now)
 {
-    const std::size_t pending = pendingCredits_.size();
     std::size_t i = 0;
     while (i < pendingCredits_.size()) {
         const auto &pc = pendingCredits_[i];
@@ -254,8 +252,6 @@ Router::applyCredits(Cycle now)
             i++;
         }
     }
-    tallyCredits(tally_, -static_cast<std::int64_t>(
-                             pending - pendingCredits_.size()));
 }
 
 void
@@ -280,7 +276,6 @@ Router::stageSwitchTraversal(Cycle now)
             latchFull_[s] = 0;
             latchMask_ &= ~(1ull << q);
             droppedDeadPort_++;
-            tallyFlits(tally_, -1);
         }
         // Otherwise the flit waits in the latch; SA skips this port.
     }
@@ -360,7 +355,6 @@ Router::stageSwitchAllocation(Cycle now)
             // output credits are not touched (the far side will never
             // return them).
             droppedDeadPort_++;
-            tallyFlits(tally_, -1);
         } else {
             flit.vc = static_cast<std::uint8_t>(ov);
             latch_[qs] = flit;
@@ -629,7 +623,6 @@ Router::reclaimOrphans(Cycle now)
             in.occupancy.update(now,
                                 portOcc_[static_cast<std::size_t>(p)]);
             poisoned_++;
-            tallyFlits(tally_, 1);
         }
     }
 }

@@ -188,11 +188,6 @@ class Router final : public Ticking,
     /** Stranded wormholes closed with a synthetic poison tail. */
     std::uint64_t poisonedWormholes() const { return poisoned_; }
 
-    /** Keep @p tally's running counts (ShardTally): pending credits,
-     *  and flits this router drops or synthesizes. Null (the default
-     *  of a router outside a Network) keeps none. */
-    void setTally(ShardTally *tally) { tally_ = tally; }
-
   private:
     enum class VcState : std::uint8_t
     {
@@ -311,7 +306,6 @@ class Router final : public Ticking,
     std::uint64_t droppedDeadPort_ = 0;
     std::uint64_t poisoned_ = 0;
     Cycle orphanTimeout_ = 0;
-    ShardTally *tally_ = nullptr;
 
     // Stage populations, tested by tick() and nextWakeCycle(): a stage
     // whose population is empty is skipped (the common case on an idle

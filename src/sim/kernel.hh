@@ -34,9 +34,11 @@
  * queues, published between phases by post-pass hooks on the driving
  * thread; see DESIGN.md section 11 and docs/DETERMINISM.md for the full
  * contract. Each domain keeps its own awake set and wake heap, so idle
- * elision doubles as the per-shard work queue. The single-domain path
- * (no configureSharding call) is the reference implementation and
- * stays byte-identical.
+ * elision doubles as the per-shard work queue. Every Network calls
+ * configureSharding (one shard at least), so every simulation runs
+ * phased; the unphased single-domain path (no configureSharding call)
+ * serves only components driven by a bare Kernel (unit tests and
+ * microbenchmarks).
  *
  * Admitting and parking a component are O(1): a domain keeps its
  * members in tick order with one bit per member marking it awake, so

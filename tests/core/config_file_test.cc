@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
+#include <string>
 
 #include "core/system_config.hh"
 
@@ -14,29 +14,16 @@ using namespace oenet;
 
 namespace {
 
-/** Locate the repo's configs/ directory from the test's run dir. */
-std::string
-configsDir()
-{
-    for (const char *prefix : {"../configs", "../../configs",
-                               "../../../configs", "configs"}) {
-        std::ifstream probe(std::string(prefix) +
-                            "/paper_defaults.cfg");
-        if (probe)
-            return prefix;
-    }
-    return "";
-}
+/** The repo's configs/ directory (tests/CMakeLists.txt passes it in,
+ *  so the tests run from any build directory). */
+const std::string kConfigsDir = OENET_CONFIGS_DIR;
 
 } // namespace
 
 TEST(ConfigFiles, PaperDefaultsMatchBuiltinDefaults)
 {
-    std::string dir = configsDir();
-    if (dir.empty())
-        GTEST_SKIP() << "configs/ not reachable from test run dir";
     Config raw;
-    raw.loadFile(dir + "/paper_defaults.cfg");
+    raw.loadFile(kConfigsDir + "/paper_defaults.cfg");
     SystemConfig c = SystemConfig::fromConfig(raw);
     EXPECT_EQ(raw.unusedKeys(), std::vector<std::string>{})
         << "every key in the file must be one fromConfig reads";
@@ -60,11 +47,8 @@ TEST(ConfigFiles, PaperDefaultsMatchBuiltinDefaults)
 
 TEST(ConfigFiles, AggressivePowerVariantParses)
 {
-    std::string dir = configsDir();
-    if (dir.empty())
-        GTEST_SKIP() << "configs/ not reachable from test run dir";
     Config raw;
-    raw.loadFile(dir + "/aggressive_power.cfg");
+    raw.loadFile(kConfigsDir + "/aggressive_power.cfg");
     SystemConfig c = SystemConfig::fromConfig(raw);
     EXPECT_EQ(raw.unusedKeys(), std::vector<std::string>{})
         << "every key in the file must be one fromConfig reads";
@@ -75,11 +59,8 @@ TEST(ConfigFiles, AggressivePowerVariantParses)
 
 TEST(ConfigFiles, TestchipCalibrationLoads)
 {
-    std::string dir = configsDir();
-    if (dir.empty())
-        GTEST_SKIP() << "configs/ not reachable from test run dir";
     Config raw;
-    raw.set("link.calibration", dir + "/testchip_example.cal");
+    raw.set("link.calibration", kConfigsDir + "/testchip_example.cal");
     SystemConfig c = SystemConfig::fromConfig(raw);
     ASSERT_TRUE(c.measuredLevels.has_value());
     EXPECT_EQ(c.measuredLevels->numLevels(), 6);
