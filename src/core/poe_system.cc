@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "common/parallel.hh"
 #include "fault/fault_injector.hh"
 #include "network/power_report.hh"
 
@@ -15,13 +16,24 @@ namespace {
  *  nearly drained fabric ticks only its few awake components. */
 constexpr Cycle kCensusStride = 64;
 
+/** @p config, once validate() has passed it: a bad configuration dies
+ *  there, before the kernel or anything else is built. */
+const SystemConfig &
+validated(const SystemConfig &config)
+{
+    config.validate();
+    return config;
+}
+
 } // namespace
 
 PoeSystem::PoeSystem(const SystemConfig &config)
-    : config_(config), latencyHist_(0.0, 50000.0, 500)
+    : config_(validated(config)),
+      // A run alone gets the machine; a sweep point arrives resolved
+      // against its share (SweepRunner::execute).
+      kernel_(config_.resolvedShards(hardwareJobs()), config_.idleElision),
+      latencyHist_(0.0, 50000.0, 500)
 {
-    config_.validate();
-    kernel_.setIdleElision(config_.idleElision);
     // The traffic pump ticks before routers and nodes so packets created
     // at cycle t can start injecting at cycle t.
     kernel_.addTicking(this);

@@ -76,10 +76,11 @@ class PoeSystem final : public PacketSink, public Ticking
     RunMetrics metrics();
 
     /**
-     * Conservation audit (Debug builds, or `sim.conservation_audit`):
-     * stop the traffic source, let in-flight flits and returned
-     * credits settle for at most @p settle_limit extra cycles, then
-     * check that every flit ever injected is accounted for —
+     * Conservation audit (run by runExperiment in every build unless
+     * `sim.conservation_audit = false`): stop the traffic source, let
+     * in-flight flits and returned credits settle for at most
+     * @p settle_limit extra cycles, then check that every flit ever
+     * injected is accounted for —
      *
      *   injected + poisoned == ejected + poisonTailsRetired
      *                          + droppedOnFail + droppedDeadPort

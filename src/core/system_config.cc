@@ -5,7 +5,6 @@
 #include "phy/calibration.hh"
 
 #include "common/log.hh"
-#include "common/parallel.hh"
 
 namespace oenet {
 
@@ -326,13 +325,7 @@ SystemConfig::validate() const
 bool
 SystemConfig::conservationAuditEnabled() const
 {
-    if (conservationAudit.has_value())
-        return *conservationAudit;
-#ifdef NDEBUG
-    return false;
-#else
-    return true;
-#endif
+    return conservationAudit.value_or(true);
 }
 
 int
@@ -379,9 +372,6 @@ SystemConfig::networkParams() const
                    ? *measuredLevels
                    : BitrateLevelTable::linear(brMinGbps, brMaxGbps,
                                                numLevels, vmaxV);
-    // A run alone gets the machine; a sweep point arrives resolved
-    // against its share (SweepRunner::execute).
-    p.shards = resolvedShards(hardwareJobs());
     p.faults = fault.enabled;
     p.thermal = thermal;
     return p;

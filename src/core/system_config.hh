@@ -111,13 +111,13 @@ struct SystemConfig
 
     /** End-of-run flit/credit conservation audit (PoeSystem::
      *  auditConservation), run by runExperiment/runTimeline after the
-     *  metrics are captured. Unset (the default) enables it in Debug
-     *  builds only; set to force it on or off. Violations surface as
+     *  metrics are captured. Unset (the default) enables it in every
+     *  build type; set to force it on or off. Violations surface as
      *  RunMetrics::auditFailures, which the sweep runner turns into a
      *  failed outcome — never an abort. */
     std::optional<bool> conservationAudit;
 
-    /** Resolve conservationAudit against the build type. */
+    /** conservationAudit, on when unset. */
     bool conservationAuditEnabled() const;
 
     /** Topology knobs bundled for makeTopology(). */

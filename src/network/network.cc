@@ -28,8 +28,7 @@ Network::Network(Kernel &kernel, const Params &params)
     // The partition is a pure function of (topology, shards), so it is
     // known before any link is wired: it decides which inter-router
     // links need a boundary channel.
-    kernel.configureSharding(params.shards);
-    shardOf_ = topo_->partition(params.shards);
+    shardOf_ = topo_->partition(kernel.shardCount());
     faultModel_ = params.faults;
 
     // Tick order: routers, then nodes. Interactions are time-tagged,
@@ -51,7 +50,7 @@ Network::Network(Kernel &kernel, const Params &params)
     // follow every router and node, one per channel in link order, so
     // they sort after all component ticks (docs/DETERMINISM.md §4).
     auto walk_order = static_cast<std::uint32_t>(kernel.tickingCount());
-    publish_.resize(static_cast<std::size_t>(params.shards));
+    publish_.resize(static_cast<std::size_t>(kernel.shardCount()));
 
     // Links. Each registers its row in the SoA power ledger in
     // enumeration order, so ledger ids equal link/trace ids.

@@ -41,10 +41,6 @@ class Network
         OpticalLink::Params link{};
         BitrateLevelTable levels =
             BitrateLevelTable::linear(5.0, 10.0, 6);
-        /** Shard domains for the sharded kernel (1 = no worker
-         *  threads, same phase structure). Output is byte-identical
-         *  at every value; see docs/DETERMINISM.md. */
-        int shards = 1;
         /** A fault injector will be attached (setFaultInjector). Its
          *  reliability layer gives the receiver-side link walk side
          *  effects, so every inter-router link is channeled and its
@@ -58,6 +54,10 @@ class Network
         ThermalParams thermal{};
     };
 
+    /** Build the fabric and register its routers and nodes with
+     *  @p kernel, partitioned across kernel.shardCount() shards
+     *  (Topology::partition). Output is byte-identical at every shard
+     *  count; see docs/DETERMINISM.md. */
     Network(Kernel &kernel, const Params &params);
 
     Network(const Network &) = delete;

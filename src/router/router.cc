@@ -32,20 +32,16 @@ Router::Router(std::string name, int router_id, const Topology &topo,
     auto nports = static_cast<std::size_t>(ports);
     auto nflat = static_cast<std::size_t>(ports * params_.numVcs);
     inputs_.resize(nports);
-    vcState_.assign(nflat, VcState::kIdle);
     vcOutPort_.assign(nflat, static_cast<std::int16_t>(kInvalid));
     vcOutVc_.assign(nflat, static_cast<std::int16_t>(kInvalid));
     vcOutVcMask_.assign(nflat, 0);
     vcLastActivity_.assign(nflat, 0);
     buffers_.configure(ports * params_.numVcs, vcDepth_);
     portOcc_.assign(nports, 0);
-    inBoundary_.assign(nports, nullptr);
-    inDrainLink_.assign(nports, nullptr);
-    outAllocated_.assign(nflat, 0);
+    portOccTime_.resize(nports);
     outCredits_.assign(nflat, 0);
     outMaxCredits_.assign(nflat, 0);
     outLink_.assign(nports, nullptr);
-    latchFull_.assign(nports, 0);
     latch_.assign(nports, Flit{});
     saArb_.resize(nports);
     vaArb_.resize(nports);
@@ -68,7 +64,6 @@ Router::connectInput(int port, OpticalLink *link, CreditSink *upstream,
     in.link = link;
     in.upstream = upstream;
     in.upstreamPort = upstream_port;
-    inDrainLink_[static_cast<std::size_t>(port)] = link;
     if (link != nullptr) {
         link->setReceiver(this); // arrival wake edge (idle elision)
         link->setArrivalFlag(&inputPending_, 1ull << port);
@@ -87,7 +82,6 @@ Router::connectInputBoundary(int port, OpticalLink *link,
     in.boundary = channel;
     in.upstream = channel;
     in.upstreamPort = upstream_port;
-    inBoundary_[static_cast<std::size_t>(port)] = channel;
     inputPending_ |= 1ull << port;
 }
 
@@ -138,8 +132,7 @@ Router::returnCredit(int port, int vc, Cycle now)
 double
 Router::occupancyIntegral(int port, Cycle now) const
 {
-    return inputs_.at(static_cast<std::size_t>(port))
-        .occupancy.integral(now);
+    return portOccTime_.at(static_cast<std::size_t>(port)).integral(now);
 }
 
 int
@@ -178,7 +171,7 @@ Router::outputVcFree(int port, int vc) const
     if (port < 0 || port >= numPorts() || vc < 0 || vc >= params_.numVcs)
         panic("Router %s: bad output VC (%d, %d)", name_.c_str(), port,
               vc);
-    return !outAllocated_[static_cast<std::size_t>(flatIdx(port, vc))];
+    return !(outAllocMask_ >> flatIdx(port, vc) & 1);
 }
 
 OpticalLink *
@@ -196,14 +189,13 @@ Router::inputLink(int port) const
 bool
 Router::outputWaiting(int port) const
 {
-    if (latchFull_.at(static_cast<std::size_t>(port)))
+    if (latchMask_ >> port & 1)
         return true;
-    int flats = numPorts() * params_.numVcs;
-    for (int f = 0; f < flats; f++) {
-        auto s = static_cast<std::size_t>(f);
-        if (vcOutPort_[s] == port && !buffers_.empty(f) &&
-            (vcState_[s] == VcState::kActive ||
-             vcState_[s] == VcState::kVcAlloc))
+    // Only a routed VC (VC-allocating or active) has an output port.
+    for (std::uint64_t m = vcAllocMask_ | activeMask_; m != 0; m &= m - 1) {
+        int f = std::countr_zero(m);
+        if (vcOutPort_[static_cast<std::size_t>(f)] == port &&
+            !buffers_.empty(f))
             return true;
     }
     return false;
@@ -212,14 +204,12 @@ Router::outputWaiting(int port) const
 int
 Router::bufferedFor(int port) const
 {
-    int n = 0;
-    int flats = numPorts() * params_.numVcs;
-    for (int f = 0; f < flats; f++) {
+    int n = static_cast<int>(latchMask_ >> port & 1);
+    for (std::uint64_t m = vcAllocMask_ | activeMask_; m != 0; m &= m - 1) {
+        int f = std::countr_zero(m);
         if (vcOutPort_[static_cast<std::size_t>(f)] == port)
             n += buffers_.size(f);
     }
-    if (latchFull_.at(static_cast<std::size_t>(port)))
-        n++;
     return n;
 }
 
@@ -269,11 +259,9 @@ Router::stageSwitchTraversal(Cycle now)
                   name_.c_str());
         if (link->canAccept(now)) {
             link->accept(now, latch_[s]);
-            latchFull_[s] = 0;
             latchMask_ &= ~(1ull << q);
         } else if (link->isFailed()) {
             // The link died with this flit waiting; it is lost.
-            latchFull_[s] = 0;
             latchMask_ &= ~(1ull << q);
             droppedDeadPort_++;
         }
@@ -298,8 +286,7 @@ Router::stageSwitchAllocation(Cycle now)
         std::uint64_t req = 0;
         for (int v = 0; v < vcs; v++) {
             auto f = static_cast<std::size_t>(base + v);
-            if (vcState_[f] != VcState::kActive ||
-                buffers_.empty(base + v))
+            if (!(activeMask_ >> f & 1) || buffers_.empty(base + v))
                 continue;
             int q = vcOutPort_[f];
             OpticalLink *olink = outLink_[static_cast<std::size_t>(q)];
@@ -307,7 +294,7 @@ Router::stageSwitchAllocation(Cycle now)
             // wormhole headed there can drain regardless of latch or
             // credit state.
             if (olink == nullptr || !olink->isFailed()) {
-                if (latchFull_[static_cast<std::size_t>(q)])
+                if (latchMask_ >> q & 1)
                     continue;
                 if (outCredits_[static_cast<std::size_t>(
                         q * vcs + vcOutVc_[f])] <= 0)
@@ -333,7 +320,7 @@ Router::stageSwitchAllocation(Cycle now)
     for (std::uint64_t m = requested_outputs; m != 0; m &= m - 1) {
         int q = std::countr_zero(m);
         auto qs = static_cast<std::size_t>(q);
-        if (latchFull_[qs])
+        if (latchMask_ >> q & 1)
             continue;
         int p = saArb_[qs].pick(port_requests[q]);
         int v = candidate_vc[p];
@@ -345,7 +332,7 @@ Router::stageSwitchAllocation(Cycle now)
         Flit flit = buffers_.pop(fi);
         if (--portOcc_[ps] == 0)
             occMask_ &= ~(1ull << p);
-        in.occupancy.update(now, portOcc_[ps]);
+        portOccTime_[ps].update(now, portOcc_[ps]);
         vcLastActivity_[fs] = now;
         int ov = vcOutVc_[fs];
         OpticalLink *olink = outLink_[qs];
@@ -358,7 +345,6 @@ Router::stageSwitchAllocation(Cycle now)
         } else {
             flit.vc = static_cast<std::uint8_t>(ov);
             latch_[qs] = flit;
-            latchFull_[qs] = 1;
             latchMask_ |= 1ull << q;
             outCredits_[static_cast<std::size_t>(q * vcs + ov)]--;
             flitsSwitched_++;
@@ -372,17 +358,15 @@ Router::stageSwitchAllocation(Cycle now)
             in.upstream->returnCredit(in.upstreamPort, v, now);
 
         if (flit.isTail()) {
-            outAllocated_[static_cast<std::size_t>(q * vcs + ov)] = 0;
+            outAllocMask_ &= ~(1ull << (q * vcs + ov));
             vcOutPort_[fs] = static_cast<std::int16_t>(kInvalid);
             vcOutVc_[fs] = static_cast<std::int16_t>(kInvalid);
-            activeVcCount_--;
-            if (buffers_.empty(fi)) {
-                vcState_[fs] = VcState::kIdle;
-            } else {
+            activeMask_ &= ~(1ull << fi);
+            // A VC left non-empty holds the next packet's head.
+            if (!buffers_.empty(fi)) {
                 if (!buffers_.front(fi).isHead())
                     panic("Router %s: non-head after tail on in %d vc %d",
                           name_.c_str(), p, v);
-                vcState_[fs] = VcState::kRouting;
                 routingMask_ |= 1ull << fi;
             }
         }
@@ -396,7 +380,7 @@ Router::stageVcAllocation(Cycle now)
     int vcs = params_.numVcs;
 
     // Collect requesting input VCs (flattened index p*vcs + v) per
-    // requested output port from the kVcAlloc mask; requested_outputs
+    // requested output port from vcAllocMask_; requested_outputs
     // says which requests words were written.
     std::uint64_t requests[kMaxPorts];
     std::uint64_t requested_outputs = 0;
@@ -423,11 +407,9 @@ Router::stageVcAllocation(Cycle now)
                 int winner = vaArb_[qs].pick(requests[q]);
                 if (winner < 0)
                     break;
-                auto ws = static_cast<std::size_t>(winner);
-                vcOutVc_[ws] = 0;
-                vcState_[ws] = VcState::kActive;
+                vcOutVc_[static_cast<std::size_t>(winner)] = 0;
                 vcAllocMask_ &= ~(1ull << winner);
-                activeVcCount_++;
+                activeMask_ |= 1ull << winner;
                 requests[q] &= ~(1ull << winner);
             }
             continue;
@@ -439,7 +421,7 @@ Router::stageVcAllocation(Cycle now)
         // the unrestricted fabrics keep the mask-free fast path.
         int qbase = q * vcs;
         for (int ov = 0; ov < vcs; ov++) {
-            if (outAllocated_[static_cast<std::size_t>(qbase + ov)])
+            if (outAllocMask_ >> (qbase + ov) & 1)
                 continue;
             std::uint64_t eligible = requests[q];
             if (restrictedVcs_) {
@@ -456,12 +438,11 @@ Router::stageVcAllocation(Cycle now)
             int winner = vaArb_[qs].pick(eligible);
             if (winner < 0)
                 break;
-            auto ws = static_cast<std::size_t>(winner);
-            vcOutVc_[ws] = static_cast<std::int16_t>(ov);
-            vcState_[ws] = VcState::kActive;
+            vcOutVc_[static_cast<std::size_t>(winner)] =
+                static_cast<std::int16_t>(ov);
             vcAllocMask_ &= ~(1ull << winner);
-            activeVcCount_++;
-            outAllocated_[static_cast<std::size_t>(qbase + ov)] = 1;
+            activeMask_ |= 1ull << winner;
+            outAllocMask_ |= 1ull << (qbase + ov);
             requests[q] &= ~(1ull << winner);
         }
     }
@@ -537,7 +518,6 @@ Router::stageRouteComputation(Cycle now)
         RouteOption route = selectRoute(buffers_.front(f).dst);
         vcOutPort_[fs] = static_cast<std::int16_t>(route.port.value());
         vcOutVcMask_[fs] = vcMaskForClass(route.vcClass);
-        vcState_[fs] = VcState::kVcAlloc;
     }
     // Every routing VC has moved to VC allocation.
     vcAllocMask_ |= routingMask_;
@@ -560,28 +540,29 @@ Router::drainArrivals(Cycle now)
             if (buffers_.full(fi))
                 panic("Router %s: input %d vc %d overflow (credit bug)",
                       name_.c_str(), p, v);
-            if (vcState_[fs] == VcState::kIdle) {
+            if (!((routingMask_ | vcAllocMask_ | activeMask_) >> fi & 1)) {
+                // Idle VC: the flit opens a packet.
                 if (!flit.isHead())
                     panic("Router %s: body flit into idle in %d vc %d",
                           name_.c_str(), p, v);
-                vcState_[fs] = VcState::kRouting;
                 routingMask_ |= 1ull << fi;
             }
             buffers_.push(fi, flit);
             vcLastActivity_[fs] = now;
-            portOcc_[static_cast<std::size_t>(p)]++;
+            auto ps = static_cast<std::size_t>(p);
+            portOcc_[ps]++;
             occMask_ |= 1ull << p;
-            inputs_[static_cast<std::size_t>(p)].occupancy.update(
-                now, portOcc_[static_cast<std::size_t>(p)]);
+            portOccTime_[ps].update(now, portOcc_[ps]);
         };
-        if (BoundaryChannel *bc = inBoundary_[static_cast<std::size_t>(p)]) {
+        const InputPort &in = inputs_[static_cast<std::size_t>(p)];
+        if (BoundaryChannel *bc = in.boundary) {
             // Channeled input: everything on the ready side has an
             // arrival stamp <= now (the source router's walk staged it
             // one cycle before arrival).
             while (bc->hasReadyArrival())
                 deliver(bc->popReadyArrival());
         } else {
-            OpticalLink *l = inDrainLink_[static_cast<std::size_t>(p)];
+            OpticalLink *l = in.link;
             l->drainArrivalsDue(now, deliver);
             // An empty fault-free link has nothing to hand over until
             // its next accept() sets the bit again. A faulted one stays
@@ -604,13 +585,13 @@ Router::reclaimOrphans(Cycle now)
         for (int v = 0; v < params_.numVcs; v++) {
             int fi = flatIdx(p, v);
             auto fs = static_cast<std::size_t>(fi);
-            // kActive with an empty buffer means mid-wormhole: the
-            // head went downstream, the rest died with the link. Once
-            // the timeout confirms nothing more is coming, close the
+            // Active with an empty buffer means mid-wormhole: the head
+            // went downstream, the rest died with the link. Once the
+            // timeout confirms nothing more is coming, close the
             // wormhole with a synthetic poison tail; normal switch
             // allocation forwards it and frees the allocated state at
             // every hop downstream.
-            if (vcState_[fs] != VcState::kActive || !buffers_.empty(fi))
+            if (!(activeMask_ >> fi & 1) || !buffers_.empty(fi))
                 continue;
             if (now < vcLastActivity_[fs] + orphanTimeout_)
                 continue;
@@ -618,10 +599,10 @@ Router::reclaimOrphans(Cycle now)
             tail.flags = Flit::kTailFlag | Flit::kPoisonFlag;
             buffers_.push(fi, tail);
             vcLastActivity_[fs] = now;
-            portOcc_[static_cast<std::size_t>(p)]++;
+            auto ps = static_cast<std::size_t>(p);
+            portOcc_[ps]++;
             occMask_ |= 1ull << p;
-            in.occupancy.update(now,
-                                portOcc_[static_cast<std::size_t>(p)]);
+            portOccTime_[ps].update(now, portOcc_[ps]);
             poisoned_++;
         }
     }
@@ -673,21 +654,23 @@ Cycle
 Router::nextWakeCycle(Cycle now)
 {
     // Any pipeline population keeps the router in the per-cycle pass.
-    // activeVcCount_ matters even with empty buffers: an open wormhole
-    // may still owe flits (or a poison tail on a failed input link).
-    if ((occMask_ | latchMask_ | routingMask_ | vcAllocMask_) != 0 ||
-        activeVcCount_ > 0 || !pendingCredits_.empty())
+    // activeMask_ matters even with empty buffers: an open wormhole may
+    // still owe flits (or a poison tail on a failed input link).
+    if ((occMask_ | latchMask_ | routingMask_ | vcAllocMask_ |
+         activeMask_) != 0 ||
+        !pendingCredits_.empty())
         return now + 1;
     Cycle wake = kNeverCycle;
     // Unflagged inputs are empty fault-free links: no event pending.
     for (std::uint64_t m = inputPending_; m != 0; m &= m - 1) {
-        auto p = static_cast<std::size_t>(std::countr_zero(m));
+        const InputPort &in = inputs_[static_cast<std::size_t>(
+            std::countr_zero(m))];
         // Channeled inputs contribute nothing: their link belongs to
         // the source router (reading it here would race its walk), and
         // every delivery comes with a publish wake edge instead.
-        if (inBoundary_[p] != nullptr)
+        if (in.boundary != nullptr)
             continue;
-        wake = std::min(wake, inDrainLink_[p]->nextReceiverEventCycle());
+        wake = std::min(wake, in.link->nextReceiverEventCycle());
     }
     // A channeled output's walk stages each receiver event one cycle
     // ahead; everything due by now+1 was just walked.

@@ -20,7 +20,9 @@
  *
  * Within a tick the stages run downstream-first (ST, SA, VA, RC, then
  * link arrivals are drained into the buffers) so a flit advances at most
- * one stage per cycle. Last comes the receiver walk of each channeled
+ * one stage per cycle. Which stage each VC and latch is in is recorded
+ * once, as a bit in a 64-bit stage mask, and each stage walks only its
+ * mask's set bits. Last comes the receiver walk of each channeled
  * output link, which stages what the link delivers next cycle into its
  * boundary channel (network/boundary.hh). The router core runs at a
  * fixed 625 MHz clock regardless of the attached links' bit rates
@@ -189,23 +191,15 @@ class Router final : public Ticking,
     std::uint64_t poisonedWormholes() const { return poisoned_; }
 
   private:
-    enum class VcState : std::uint8_t
-    {
-        kIdle,
-        kRouting,
-        kVcAlloc,
-        kActive,
-    };
-
-    /** Cold per-input-port wiring; the per-VC pipeline state lives in
-     *  the flat hot-state arrays below. */
+    /** Per-input-port wiring, read by the arrival drain and the park
+     *  test; the per-VC pipeline state lives in the flat hot-state
+     *  arrays and stage masks below. */
     struct InputPort
     {
         OpticalLink *link = nullptr;
         BoundaryChannel *boundary = nullptr; ///< set: drain via channel
         CreditSink *upstream = nullptr;
         int upstreamPort = kInvalid;
-        TimeWeighted occupancy;
     };
 
     /** Hard-failure state of the link feeding @p in, through the
@@ -254,21 +248,16 @@ class Router final : public Ticking,
     // striding across per-port/per-VC objects.
     // ------------------------------------------------------------------
 
-    // Input VC pipeline state.
-    std::vector<VcState> vcState_;
+    // Input VC route state; the stage a VC is in is its bit in the
+    // stage masks at the end.
     std::vector<std::int16_t> vcOutPort_; ///< kInvalid until RC
     std::vector<std::int16_t> vcOutVc_;   ///< kInvalid until VA
     std::vector<std::uint64_t> vcOutVcMask_; ///< output VCs RC allows
     std::vector<Cycle> vcLastActivity_; ///< last push/pop (orphans)
     FlitSlab buffers_; ///< segment flatIdx(port, vc), depth vcDepth_
     std::vector<std::int32_t> portOcc_; ///< flits buffered per input port
-
-    // Hot mirrors of inputs_[p].{boundary, link} for the per-cycle
-    // arrival drain: InputPort is cache-line sized (it carries the
-    // occupancy tracker), so the drain's all-ports scan packs its two
-    // pointers here instead. Written only by the connectInput* calls.
-    std::vector<BoundaryChannel *> inBoundary_;
-    std::vector<OpticalLink *> inDrainLink_;
+    /** portOcc_ over time, per input port (occupancyIntegral). */
+    std::vector<TimeWeighted> portOccTime_;
     /** Bit p: input p may have something to drain. Set by the input
      *  link's accept() (OpticalLink::setArrivalFlag) and permanently
      *  for channeled and fault-attached inputs; cleared once a
@@ -276,15 +265,13 @@ class Router final : public Ticking,
      *  visit only these ports. */
     std::uint64_t inputPending_ = 0;
 
-    // Output VC credit/allocation state.
-    std::vector<std::uint8_t> outAllocated_;
+    // Output VC credit state.
     std::vector<std::int32_t> outCredits_;
     std::vector<std::int32_t> outMaxCredits_; ///< initial pool
 
     // Per output port.
     std::vector<OpticalLink *> outLink_;
-    std::vector<std::uint8_t> latchFull_;
-    std::vector<Flit> latch_;
+    std::vector<Flit> latch_; ///< valid where latchMask_ has the bit
     std::vector<RoundRobinArbiter> saArb_; ///< among input ports
     std::vector<RoundRobinArbiter> vaArb_; ///< among flattened input VCs
 
@@ -307,22 +294,28 @@ class Router final : public Ticking,
     std::uint64_t poisoned_ = 0;
     Cycle orphanTimeout_ = 0;
 
-    // Stage populations, tested by tick() and nextWakeCycle(): a stage
-    // whose population is empty is skipped (the common case on an idle
-    // fabric). A stage that runs walks only the set bits of its mask,
-    // in ascending order, the order of the full scan the mask replaces,
-    // so every arbiter sees the same request masks in the same
-    // sequence. Each mask mirrors the state named beside it and is
-    // updated at every write of that state; ports * numVcs <= 64
-    // (checked at construction) bounds every bit. Open wormholes stay a
-    // count, as no stage walks them: only the park test reads it.
-    int activeVcCount_ = 0; ///< input VCs in kActive (open wormholes)
+    // Stage masks, the only record of each pipeline fact. An input VC
+    // is in at most one of routingMask_, vcAllocMask_ and activeMask_
+    // (in none: idle); latchMask_ says which latches hold a flit and
+    // outAllocMask_ which output VCs an open wormhole owns. tick() and
+    // nextWakeCycle() skip a stage whose mask is empty (the common case
+    // on an idle fabric); a stage that runs walks only the set bits, in
+    // ascending order, the order of a full scan, so every arbiter sees
+    // the same request masks in the same sequence. ports * numVcs <= 64
+    // (checked at construction) bounds every bit. occMask_ sits beside
+    // portOcc_, the count it summarizes.
     std::uint64_t occMask_ = 0;   ///< bit p: portOcc_[p] > 0 (SA inputs)
-    std::uint64_t latchMask_ = 0; ///< bit q: latchFull_[q] (ST walk)
-    /** Bit flatIdx(p, v): vcState_ is kRouting (RC walk). */
+    std::uint64_t latchMask_ = 0; ///< bit q: latch_[q] is full (ST walk)
+    /** Bit flatIdx(p, v): head waiting for route computation. */
     std::uint64_t routingMask_ = 0;
-    /** Bit flatIdx(p, v): vcState_ is kVcAlloc (VA requesters). */
+    /** Bit flatIdx(p, v): routed, requesting an output VC. */
     std::uint64_t vcAllocMask_ = 0;
+    /** Bit flatIdx(p, v): open wormhole holding output vcOutVc_ on
+     *  vcOutPort_; it may still owe flits, or a poison tail on a failed
+     *  input, even with an empty buffer. */
+    std::uint64_t activeMask_ = 0;
+    /** Bit flatIdx(q, ov): output VC ov of port q is allocated. */
+    std::uint64_t outAllocMask_ = 0;
 
     /** Upper bound on ports (masks are 64-bit; VA flattens p*vcs+v). */
     static constexpr int kMaxPorts = 32;

@@ -7,16 +7,6 @@
 namespace oenet {
 
 void
-EventQueue::schedule(Cycle when, Action action)
-{
-    if (when < lastRun_)
-        panic("EventQueue: scheduling into the past (%llu < %llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(lastRun_));
-    heap_.push(Entry{when, nextSeq_++, std::move(action), nullptr});
-}
-
-void
 EventQueue::schedulePeriodic(Cycle first, Cycle period,
                              PeriodicAction action)
 {
@@ -28,7 +18,7 @@ EventQueue::schedulePeriodic(Cycle first, Cycle period,
               static_cast<unsigned long long>(lastRun_));
     periodics_.push_back(
         std::make_unique<Periodic>(Periodic{period, std::move(action)}));
-    heap_.push(Entry{first, nextSeq_++, Action{}, periodics_.back().get()});
+    heap_.push(Entry{first, nextSeq_++, periodics_.back().get()});
 }
 
 void
@@ -36,30 +26,14 @@ EventQueue::runDue(Cycle now)
 {
     lastRun_ = now;
     while (!heap_.empty() && heap_.top().when <= now) {
-        const Entry &top = heap_.top();
-        if (Periodic *p = top.periodic) {
-            Cycle when = top.when;
-            heap_.pop();
-            // Action first, then re-arm: same relative order as a
-            // self-rescheduling one-shot, so same-cycle event ordering
-            // is unchanged.
-            p->action(when);
-            heap_.push(Entry{when + p->period, nextSeq_++, Action{}, p});
-            continue;
-        }
-        // Move out before pop so the action can schedule new events;
-        // the comparator never touches `action`, so mutating the top
-        // entry's payload in place is safe.
-        Action action = std::move(const_cast<Entry &>(top).action);
+        Entry e = heap_.top();
         heap_.pop();
-        action();
+        // Action first, then re-arm: an entry the action arms for the
+        // same next cycle fires before this one does.
+        e.periodic->action(e.when);
+        heap_.push(Entry{e.when + e.periodic->period, nextSeq_++,
+                         e.periodic});
     }
-}
-
-Cycle
-EventQueue::nextEventCycle() const
-{
-    return heap_.empty() ? kNeverCycle : heap_.top().when;
 }
 
 } // namespace oenet

@@ -1,18 +1,16 @@
 /**
  * @file
- * Delta event queue for the cycle-driven kernel.
+ * Periodic event queue for the cycle-driven kernel.
  *
  * The oenet kernel is cycle-driven for the data path (routers tick every
- * cycle), but control actions that fire at sparse future times — voltage
- * ramp completions, attenuator responses, policy epochs, trace
- * injections — are scheduled here so nothing polls for them. Events
- * scheduled for the same cycle fire in schedule order (a monotone
- * sequence number breaks ties), which keeps runs deterministic.
- *
- * Periodic actions are first-class: schedulePeriodic stores the closure
- * once and re-arms the same entry each firing, so a policy window that
- * fires a million times allocates exactly one std::function, not a chain
- * of nested copies.
+ * cycle), but the control plane acts on fixed cadences — the policy
+ * window, the laser epoch, the on/off wake probe and the thermal epoch
+ * — and those are scheduled here so nothing polls for them. Every entry
+ * is periodic: its closure is stored once and the same entry is
+ * re-armed after each firing, so a policy window that fires a million
+ * times allocates exactly one std::function. Entries due in the same
+ * cycle fire in the order they were armed (a monotone sequence number
+ * breaks ties), which keeps runs deterministic.
  */
 
 #ifndef OENET_SIM_EVENT_QUEUE_HH
@@ -31,33 +29,24 @@ namespace oenet {
 class EventQueue
 {
   public:
-    using Action = std::function<void()>;
     using PeriodicAction = std::function<void(Cycle)>;
-
-    /** Schedule @p action to run at cycle @p when.
-     *  @pre when >= the cycle passed to the last runDue() call. */
-    void schedule(Cycle when, Action action);
 
     /**
      * Schedule @p action to run at @p first and every @p period cycles
-     * thereafter, receiving the firing cycle. The closure is stored
-     * once; each firing runs the action and then re-arms the same
-     * stored entry (action first, so anything it schedules for the
-     * same cycle fires before the next periodic at that cycle, exactly
-     * as a self-rescheduling one-shot would behave).
+     * thereafter, receiving the firing cycle. Each firing runs the
+     * action and then re-arms the entry, so at its next cycle it fires
+     * after every entry armed earlier for that cycle.
+     * @pre first >= the cycle passed to the last runDue() call.
      */
     void schedulePeriodic(Cycle first, Cycle period,
                           PeriodicAction action);
 
-    /** Run every event due at or before @p now, in (cycle, order) order.
-     *  Events may schedule further events, including for @p now. */
+    /** Run every entry due at or before @p now, in (cycle, order)
+     *  order. An action may arm further entries, including for
+     *  @p now. */
     void runDue(Cycle now);
 
-    /** Cycle of the earliest pending event, or kNeverCycle. */
-    Cycle nextEventCycle() const;
-
     bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
 
   private:
     /** Persistent state for one schedulePeriodic call; lives for the
@@ -73,8 +62,7 @@ class EventQueue
     {
         Cycle when;
         std::uint64_t seq;
-        Action action;             ///< one-shot payload (null if periodic)
-        Periodic *periodic = nullptr; ///< persistent payload, re-armed in place
+        Periodic *periodic; ///< re-armed in place after each firing
     };
 
     struct Later

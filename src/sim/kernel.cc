@@ -31,10 +31,19 @@ spinPause(int &spins)
 
 } // namespace
 
-Kernel::Kernel()
+Kernel::Kernel(int shards, bool idle_elision)
+    : idleElision_(idle_elision), shards_(shards)
 {
-    domains_.push_back(std::make_unique<Domain>());
-    domains_[0]->index = 0;
+    if (shards < 1)
+        panic("Kernel: shards must be >= 1");
+    for (int d = 0; d <= shards; d++) {
+        domains_.push_back(std::make_unique<Domain>());
+        domains_.back()->index = d;
+    }
+    // The driving thread runs shard domain 1's phase itself, so one
+    // shard needs no threads at all. Domains 2..N each get a worker,
+    // started by the first parallel phase (step), so building a system
+    // starts none.
 }
 
 Kernel::~Kernel()
@@ -88,27 +97,6 @@ Kernel::relayout()
         }
     }
     layoutDirty_ = false;
-}
-
-void
-Kernel::configureSharding(int shards)
-{
-    if (shards < 1)
-        panic("Kernel::configureSharding: shards must be >= 1");
-    if (phased_)
-        panic("Kernel::configureSharding: already configured");
-    if (now_ != 0)
-        panic("Kernel::configureSharding: must run before the first step");
-    phased_ = true;
-    shards_ = shards;
-    for (int d = 1; d <= shards; d++) {
-        domains_.push_back(std::make_unique<Domain>());
-        domains_.back()->index = d;
-    }
-    // The driving thread runs shard domain 1's phase itself, so one
-    // shard needs no threads at all while exercising the exact same
-    // phase structure. Domains 2..N each get a worker, started by the
-    // first parallel phase (step), so building a system starts none.
 }
 
 void
@@ -174,10 +162,9 @@ Kernel::step()
         nextEpoch_ += epochInterval_;
     }
     events_.runDue(now_);
-    // Serial phase: domain 0 on the driving thread. This is the whole
-    // kernel when sharding is off.
+    // Serial phase: domain 0 on the driving thread.
     runDomainPass(*domains_[0], now_);
-    if (phased_ && !shardsQuiet()) {
+    if (!shardsQuiet()) {
         if (shards_ == 1) {
             runShardPhase(*domains_[1], now_);
         } else {
@@ -343,24 +330,6 @@ Kernel::run(Cycle cycles)
 }
 
 void
-Kernel::setIdleElision(bool on)
-{
-    if (idleElision_ == on)
-        return;
-    idleElision_ = on;
-    if (!on) {
-        // Re-admit everyone; the classic full pass resumes next step.
-        for (Ticking *t : ticking_) {
-            t->asleep_ = false;
-            t->pendingWake_ = kNeverCycle;
-        }
-        for (auto &dom : domains_)
-            dom->wakeHeap = {};
-        relayout();
-    }
-}
-
-void
 Kernel::setEpochHook(Cycle interval, std::function<void(Cycle)> hook)
 {
     if (interval == 0 || !hook) {
@@ -375,17 +344,9 @@ Kernel::setEpochHook(Cycle interval, std::function<void(Cycle)> hook)
 }
 
 void
-Kernel::schedule(Cycle when, EventQueue::Action action)
-{
-    events_.schedule(when, std::move(action));
-}
-
-void
 Kernel::schedulePeriodic(Cycle first, Cycle period,
                          std::function<void(Cycle)> action)
 {
-    if (period == 0)
-        panic("Kernel::schedulePeriodic: zero period");
     events_.schedulePeriodic(first, period, std::move(action));
 }
 

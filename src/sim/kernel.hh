@@ -5,28 +5,32 @@
  *
  * Tick protocol per cycle t:
  *   1. the epoch hook (if due) observes the state at the boundary;
- *   2. events due at t fire (control plane: policies, transitions,
- *      scheduled injections);
- *   3. every *active* Ticking component's tick(t) runs, in
- *      registration order.
+ *   2. periodic events due at t fire (control plane: policy windows,
+ *      laser epochs, on/off wake probes, thermal epochs);
+ *   3. every *active* component of the serial domain ticks, in
+ *      registration order;
+ *   4. every shard domain's active components tick (the parallel
+ *      phase), then the post-pass hooks run.
  *
  * Cross-component interactions are time-tagged (link arrival cycles,
  * credit return cycles), so results do not depend on registration order;
  * the fixed order only pins down RNG-free determinism.
  *
- * Idle elision (on by default) removes quiescent components from the
- * per-cycle pass: after each tick the kernel asks nextWakeCycle(now),
- * and a component answering later than now+1 is parked until that cycle
- * or until an explicit wake edge (wakeAt) pulls it in earlier. A parked
- * component's tick would have been a no-op every skipped cycle, so the
- * simulated outcome — every byte of every manifest and trace — is
- * identical to ticking everything; see DESIGN.md section 9 for the
- * quiescence invariants each component maintains.
+ * Idle elision (on by default, fixed at construction) removes quiescent
+ * components from the per-cycle pass: after each tick the kernel asks
+ * nextWakeCycle(now), and a component answering later than now+1 is
+ * parked until that cycle or until an explicit wake edge (wakeAt)
+ * pulls it in earlier. A parked component's tick would have been a
+ * no-op every skipped cycle, so the simulated outcome — every byte of
+ * every manifest and trace — is identical to ticking everything; see
+ * DESIGN.md section 9 for the quiescence invariants each component
+ * maintains.
  *
- * Sharded execution (configureSharding) splits the per-cycle pass into
- * tick domains: domain 0 ticks serially on the driving thread (the
- * traffic pump and anything else that touches global state), domains
- * 1..N are shards whose passes run concurrently, one thread per shard,
+ * Every kernel runs phased: the per-cycle pass is split into tick
+ * domains, fixed at construction. Domain 0 ticks serially on the
+ * driving thread (the traffic pump and anything else that touches
+ * global state, and every component of a bare Kernel); domains 1..N
+ * are shards whose passes run concurrently, one thread per shard,
  * separated by a barrier every cycle (the conservative-lookahead
  * quantum degenerates to one cycle here because credits apply at now+1
  * and the minimum link propagation is one cycle). Components in
@@ -34,11 +38,7 @@
  * queues, published between phases by post-pass hooks on the driving
  * thread; see DESIGN.md section 11 and docs/DETERMINISM.md for the full
  * contract. Each domain keeps its own awake set and wake heap, so idle
- * elision doubles as the per-shard work queue. Every Network calls
- * configureSharding (one shard at least), so every simulation runs
- * phased; the unphased single-domain path (no configureSharding call)
- * serves only components driven by a bare Kernel (unit tests and
- * microbenchmarks).
+ * elision doubles as the per-shard work queue.
  *
  * Admitting and parking a component are O(1): a domain keeps its
  * members in tick order with one bit per member marking it awake, so
@@ -115,7 +115,18 @@ class Ticking
 class Kernel
 {
   public:
-    Kernel();
+    /**
+     * A kernel with @p shards shard domains (1..shards) beside the
+     * serial domain 0, and idle elision on or off for its whole life;
+     * both settings give byte-identical simulations. Components start
+     * in domain 0; setDomain moves shard-owned ones before the first
+     * step. One shard keeps everything on the driving thread with the
+     * exact same phase structure, which is what makes output
+     * byte-identical at any shard count; more run shards-1 worker
+     * threads, started by the first parallel phase and joined by the
+     * destructor.
+     */
+    explicit Kernel(int shards = 1, bool idle_elision = true);
     ~Kernel();
 
     Kernel(const Kernel &) = delete;
@@ -129,9 +140,6 @@ class Kernel
 
     /** Advance @p cycles cycles. */
     void run(Cycle cycles);
-
-    /** Schedule a one-shot action. */
-    void schedule(Cycle when, EventQueue::Action action);
 
     /** Schedule @p action every @p period cycles starting at @p first.
      *  The closure is stored once in the event queue and re-armed in
@@ -151,37 +159,12 @@ class Kernel
      */
     void setEpochHook(Cycle interval, std::function<void(Cycle)> hook);
 
-    /**
-     * Enable or disable idle elision (default on). Disabling mid-run
-     * re-admits every parked component so the classic
-     * tick-everything-every-cycle pass resumes; both settings produce
-     * bit-identical simulations.
-     */
-    void setIdleElision(bool on);
-    bool idleElision() const { return idleElision_; }
-
     // ------------------------------------------------------------------
     // Sharded execution
     // ------------------------------------------------------------------
 
-    /**
-     * Switch to phased (sharded) stepping with @p shards shard domains
-     * (1..shards) plus the serial domain 0. Every already-registered
-     * component stays in domain 0; move shard-owned components with
-     * setDomain before stepping. shards == 1 keeps everything on the
-     * driving thread but uses the exact same phase structure, which is
-     * what makes output byte-identical at any shard count; shards > 1
-     * runs shards-1 worker threads, started by the first parallel
-     * phase and joined by the destructor. Call once, before the first
-     * step.
-     */
-    void configureSharding(int shards);
-
-    /** Shard domains configured (1 when unsharded). */
+    /** Shard domains, as constructed. */
     int shardCount() const { return shards_; }
-
-    /** True once configureSharding has been called. */
-    bool phased() const { return phased_; }
 
     /** Move @p component to @p domain (0 = serial, 1..shardCount()).
      *  Configuration-time only: call before the first step. O(1); the
@@ -225,7 +208,6 @@ class Kernel
     std::size_t tickingCount() const { return ticking_.size(); }
 
     Cycle now() const { return now_; }
-    EventQueue &events() { return events_; }
 
   private:
     friend class Ticking;
@@ -245,10 +227,9 @@ class Kernel
 
     /**
      * One tick domain: a slice of the registered components with its
-     * own awake set, wake heap, and pass state. Domain 0 always exists
-     * and is the whole kernel when sharding is off; shard domains are
-     * only touched by their own thread during the parallel phase and
-     * by the driving thread between phases.
+     * own awake set, wake heap, and pass state. Shard domains are only
+     * touched by their own thread during the parallel phase and by the
+     * driving thread between phases.
      */
     struct Domain
     {
@@ -295,12 +276,11 @@ class Kernel
     Cycle now_ = 0;
     EventQueue events_;
     std::vector<Ticking *> ticking_; ///< all components, registration order
-    std::vector<std::unique_ptr<Domain>> domains_; ///< [0] always exists
+    std::vector<std::unique_ptr<Domain>> domains_; ///< [0] = serial
 
-    bool idleElision_ = true;
-    bool phased_ = false;
+    const bool idleElision_;
+    const int shards_;
     bool layoutDirty_ = false; ///< members/slots stale (see relayout)
-    int shards_ = 1;
 
     // Epoch hook (metrics snapshots).
     std::function<void(Cycle)> epochHook_;

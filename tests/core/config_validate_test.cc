@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/poe_system.hh"
 #include "core/system_config.hh"
 
 using namespace oenet;
@@ -210,6 +211,9 @@ TEST(ConfigValidate, RejectsShardCountsTheFabricCannotUse)
     SystemConfig c;
     c.shards = -1;
     expectRejected(c, "sim.shards must be >= 0");
+    // A PoeSystem built from it dies in validate() too.
+    EXPECT_EXIT(PoeSystem{c}, ::testing::ExitedWithCode(1),
+                "sim.shards must be >= 0");
 
     // A 2x2 mesh has four routers: a fifth shard would own none and
     // its worker would only spin. validate() dies before any worker

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.hh"
+#include "core/poe_system.hh"
 #include "core/system_config.hh"
 
 using namespace oenet;
@@ -130,13 +131,15 @@ TEST(SystemConfig, ResolvedShardsFollowsFabricAndCores)
     EXPECT_EQ(c.resolvedShards(64), 3);
 }
 
-TEST(SystemConfig, NetworkParamsResolveAutoShardsWithTheMachine)
+TEST(SystemConfig, PoeSystemResolvesAutoShardsWithTheMachine)
 {
     SystemConfig c;
     c.meshX = 32;
     c.meshY = 32;
-    EXPECT_EQ(c.networkParams().shards, c.resolvedShards(hardwareJobs()));
+    EXPECT_EQ(PoeSystem(c).kernel().shardCount(),
+              c.resolvedShards(hardwareJobs()));
     c.shards = 2;
-    EXPECT_EQ(c.networkParams().shards, 2);
-    EXPECT_EQ(SystemConfig{}.networkParams().shards, 1); // 8x8 stays serial
+    EXPECT_EQ(PoeSystem(c).kernel().shardCount(), 2);
+    // 8x8 stays serial.
+    EXPECT_EQ(PoeSystem(SystemConfig{}).kernel().shardCount(), 1);
 }

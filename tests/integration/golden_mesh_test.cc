@@ -155,10 +155,12 @@ driveGolden(const SystemConfig &cfg, double rate, std::uint64_t seed,
 
 std::uint64_t
 fingerprintRun(const SystemConfig &cfg, double rate, std::uint64_t seed,
-               Cycle metrics_interval = 500)
+               Cycle metrics_interval = 500, RunMetrics *metrics = nullptr)
 {
     HashSink sink;
     RunMetrics m = driveGolden(cfg, rate, seed, sink, metrics_interval);
+    if (metrics != nullptr)
+        *metrics = m;
     sink.mixD(m.avgLatency);
     sink.mixD(m.p95Latency);
     sink.mixD(m.avgPowerMw);
@@ -351,4 +353,36 @@ TEST(GoldenMesh, FaultedFatTreeMatchesRecordedBytes)
         EXPECT_EQ(fingerprintRun(ft, 0.6, 19, 250), 0x24f2f40867380415ull)
             << "shards=" << shards;
     }
+}
+
+TEST(GoldenMesh, OnOffPolicyMatchesRecordedBytes)
+{
+    // On/off links sleep once their sliding utilization falls below
+    // the threshold and wake when the sender has flits latched or
+    // routed toward them (Router::outputWaiting, read only by this
+    // policy's wake probe).
+    SystemConfig oo;
+    oo.meshX = 4;
+    oo.meshY = 4;
+    oo.clusterSize = 2;
+    oo.policyMode = PolicyMode::kOnOff;
+    oo.windowCycles = 100;
+    RunMetrics m;
+    EXPECT_EQ(fingerprintRun(oo, 0.6, 37, 250, &m), 0x184f9b128b0e4991ull);
+    EXPECT_GT(m.transitions, 0u);
+}
+
+TEST(GoldenMesh, ProportionalPolicyMatchesRecordedBytes)
+{
+    // Proportional DVS escalates a link whose sender holds a backlog
+    // for it (Router::bufferedFor counts the flits routed there).
+    SystemConfig pr;
+    pr.meshX = 4;
+    pr.meshY = 4;
+    pr.clusterSize = 2;
+    pr.policyMode = PolicyMode::kProportional;
+    pr.windowCycles = 100;
+    RunMetrics m;
+    EXPECT_EQ(fingerprintRun(pr, 1.2, 41, 250, &m), 0xb169a2c306b89ffeull);
+    EXPECT_GT(m.transitions, 0u);
 }

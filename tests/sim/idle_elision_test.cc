@@ -296,8 +296,7 @@ TEST(IdleElision, DomainLayoutFollowsRegistrationOrderNotSetDomainOrder)
     // setDomain is O(1) and only records the move; the member lists
     // are rebuilt at the first step, in registration (tick) order
     // whatever order the moves came in.
-    Kernel k;
-    k.configureSharding(1);
+    Kernel k; // one shard
     std::vector<int> log;
     std::vector<Sleeper> s(5);
     for (int i = 0; i < 5; i++) {
@@ -315,25 +314,9 @@ TEST(IdleElision, DomainLayoutFollowsRegistrationOrderNotSetDomainOrder)
     EXPECT_EQ(k.activeCount(), 0u);
 }
 
-TEST(IdleElision, DisablingElisionReAdmitsEverything)
-{
-    Kernel k;
-    Sleeper s;
-    k.addTicking(&s);
-    k.run(3);
-    ASSERT_TRUE(s.asleep());
-    k.setIdleElision(false);
-    EXPECT_FALSE(s.asleep());
-    EXPECT_EQ(k.activeCount(), 1u);
-    k.run(3);
-    // Ticks every cycle now, nextWakeCycle answers ignored.
-    EXPECT_EQ(s.ticks, (std::vector<Cycle>{0, 3, 4, 5}));
-}
-
 TEST(IdleElision, ElisionOffNeverSleeps)
 {
-    Kernel k;
-    k.setIdleElision(false);
+    Kernel k(1, /*idle_elision=*/false);
     Sleeper s; // reports kNeverCycle, but elision is off
     k.addTicking(&s);
     k.run(4);

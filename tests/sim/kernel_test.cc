@@ -77,20 +77,11 @@ TEST(Kernel, EventsFireBeforeTicks)
     Probe p;
     p.order = &order;
     k.addTicking(&p);
-    k.schedule(0, [&] { order.push_back("event"); });
+    k.schedulePeriodic(0, 100, [&](Cycle) { order.push_back("event"); });
     k.step();
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], "event");
     EXPECT_EQ(order[1], "tick");
-}
-
-TEST(Kernel, ScheduledEventFiresAtRightCycle)
-{
-    Kernel k;
-    Cycle fired_at = kNeverCycle;
-    k.schedule(3, [&] { fired_at = k.now(); });
-    k.run(5);
-    EXPECT_EQ(fired_at, 3u);
 }
 
 TEST(Kernel, PeriodicFiresRepeatedly)
@@ -132,8 +123,7 @@ TEST(Kernel, SetShardPassOrderRekeysTheRestOfATick)
             }
         }
     };
-    Kernel k;
-    k.configureSharding(1);
+    Kernel k; // one shard
     Probe a, b;
     a.rekey = 40;
     k.addTicking(&a);
